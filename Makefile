@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race parallel-stress bench-smoke trace-smoke planner-smoke crash-matrix fuzz-smoke columnar-smoke mvcc-smoke serve-smoke bitemporal-smoke verify lint bench bench-parallel bench-json
+.PHONY: build vet test race parallel-stress bench-smoke perfbench-smoke trace-smoke planner-smoke crash-matrix fuzz-smoke columnar-smoke mvcc-smoke serve-smoke bitemporal-smoke verify lint bench bench-parallel bench-json
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ parallel-stress:
 # compile and run (allocation regressions show up here first).
 bench-smoke:
 	$(GO) test -bench='Scan(Copy|Borrow)' -benchtime=1x -run '^$$' ./internal/relstore/
+
+# Benchmark smoke: perfbench is its own module (it imports this one
+# through a replace directive), so ./... at the root does not reach
+# it. Its tests build a tiny workload and check the printed metrics.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Observability smoke: run the Q1-Q6 suite under the execution tracer
 # on the clustered and compressed layouts; the bench re-parses every
@@ -107,9 +113,10 @@ fuzz-smoke:
 # Tier-1 verification: everything must compile, pass vet, and pass the
 # full test suite under the race detector (the concurrency layer is
 # only considered correct when -race is clean), plus the parallel
-# differential stress and the benchmark smoke run. The crash matrix
-# runs as part of `race` (it lives in the normal test suite).
-verify: build vet race parallel-stress bench-smoke
+# differential stress, the scan benchmark smoke run and the
+# benchmark module's tests. The crash matrix runs as part of `race`
+# (it lives in the normal test suite).
+verify: build vet race parallel-stress bench-smoke perfbench-smoke
 
 # Optional linters: run when installed, skip quietly otherwise (the
 # build environment is offline; nothing is downloaded).

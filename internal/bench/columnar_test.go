@@ -2,16 +2,19 @@ package bench
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"archis/internal/core"
 	"archis/internal/dataset"
+	"archis/internal/relstore"
+	"archis/internal/sqlengine"
 )
 
 // TestColumnarDifferentialLayouts is the columnar escape-hatch
 // differential: randomized workloads on every layout, executed with
-// the columnar path on and off, serial and morsel-parallel, must
-// return identical answers everywhere. On plain and clustered layouts
+// the columnar path on and off at Workers 1, 2 and 4, must return
+// answers identical to the row path at Workers=1 everywhere. On plain and clustered layouts
 // the columnar option must be inert; on compressed (with every
 // history force-frozen into blocks) it exercises the vectorized
 // scan + kernel path end to end. Run with -race: the parallel passes
@@ -50,32 +53,48 @@ func TestColumnarDifferentialLayouts(t *testing.T) {
 				return e
 			}
 			on, off := build(core.ColumnarOn), build(core.ColumnarOff)
-			queries := make([]string, 0, len(AllQueries)+1)
+			for _, e := range []*Env{on, off} {
+				e.Sys.Engine.RegisterAggregate("firstv", newFirstV)
+			}
+			queries := make([]string, 0, len(AllQueries)+3)
 			for _, q := range AllQueries {
 				queries = append(queries, on.SQL(q))
 			}
-			queries = append(queries, on.JoinSQL())
-			for _, workers := range []int{1, 4} {
-				on.Sys.Engine.Workers = workers
-				off.Sys.Engine.Workers = workers
-				for _, sql := range queries {
-					want, err := off.Sys.Exec(sql)
-					if err != nil {
-						t.Fatalf("columnar-off workers=%d: %s: %v", workers, sql, err)
-					}
-					got, err := on.Sys.Exec(sql)
-					if err != nil {
-						t.Fatalf("columnar-on workers=%d: %s: %v", workers, sql, err)
-					}
-					if len(got.Rows) != len(want.Rows) {
-						t.Fatalf("workers=%d: %s: %d rows columnar vs %d row-path",
-							workers, sql, len(got.Rows), len(want.Rows))
-					}
-					for i := range want.Rows {
-						for c := range want.Rows[i] {
-							if got.Rows[i][c].Text() != want.Rows[i][c].Text() {
-								t.Fatalf("workers=%d: %s: row %d col %d: %q vs %q",
-									workers, sql, i, c, got.Rows[i][c].Text(), want.Rows[i][c].Text())
+			// The self-join Q6, a non-mergeable aggregate (drained inline
+			// at any worker count), and an equal-estimate self-join whose
+			// first fold fuses: its probe streams the driving scan of a
+			// virtual source — batch-capable on the compressed layout.
+			fused := `select S1.id, S2.salary from employee_salary S1, employee_salary S2
+				where S1.id = S2.id and S1.tstart = S2.tstart`
+			queries = append(queries, on.JoinSQL(),
+				`select firstv(S.salary), count(*) from employee_salary S`,
+				fused)
+			if plan := explain(t, on, fused); !strings.Contains(plan, "(streamed)") {
+				t.Fatalf("self-join did not fuse:\n%s", plan)
+			}
+			for _, sql := range queries {
+				var want *sqlengine.Result
+				for _, workers := range []int{1, 2, 4} {
+					for _, e := range []*Env{off, on} {
+						e.Sys.Engine.Workers = workers
+						got, err := e.Sys.Exec(sql)
+						if err != nil {
+							t.Fatalf("workers=%d: %s: %v", workers, sql, err)
+						}
+						if want == nil {
+							want = got // columnar off, Workers=1
+							continue
+						}
+						if len(got.Rows) != len(want.Rows) {
+							t.Fatalf("workers=%d: %s: %d rows vs %d at workers=1 row-path",
+								workers, sql, len(got.Rows), len(want.Rows))
+						}
+						for i := range want.Rows {
+							for c := range want.Rows[i] {
+								if got.Rows[i][c].Text() != want.Rows[i][c].Text() {
+									t.Fatalf("workers=%d: %s: row %d col %d: %q vs %q at workers=1 row-path",
+										workers, sql, i, c, got.Rows[i][c].Text(), want.Rows[i][c].Text())
+								}
 							}
 						}
 					}
@@ -84,6 +103,21 @@ func TestColumnarDifferentialLayouts(t *testing.T) {
 		})
 	}
 }
+
+// firstV is a non-mergeable, order-sensitive aggregate (the first
+// non-NULL value), so a statement using it must drain inline.
+type firstV struct{ v relstore.Value }
+
+func newFirstV() sqlengine.AggState { return &firstV{v: relstore.Null} }
+
+func (f *firstV) Add(args []relstore.Value) error {
+	if f.v.IsNull() {
+		f.v = args[0]
+	}
+	return nil
+}
+
+func (f *firstV) Result() relstore.Value { return f.v }
 
 // TestColumnarGatePair smoke-tests the gate machinery end to end at a
 // tiny scale: the pair builds with matching answers, the columnar side

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -196,7 +197,7 @@ func TestSnapshotConsistencyDifferential(t *testing.T) {
 						sn := e.Sys.DB.Snapshot()
 						lsn := sn.LSN()
 						got, err := runSuiteWith(suite, func(q string) (*sqlengine.Result, error) {
-							return e.Sys.Engine.ExecTracedAt(q, nil, sn)
+							return e.Sys.Engine.ExecTracedAtCtx(context.Background(), q, nil, sn)
 						})
 						sn.Release()
 						if err != nil {

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
+	"time"
 
-	"archis/internal/obs"
 	"archis/internal/sqlengine"
 	"archis/internal/translator"
 )
@@ -45,33 +46,31 @@ func (s *System) Publish() {
 // retention horizon (the storage layer keeps a bounded ring of
 // versions) and rejects statements that are not SELECT or EXPLAIN.
 func (s *System) ReadAsOf(lsn uint64, sql string) (*sqlengine.Result, error) {
-	switch firstKeyword(sql) {
-	case "select", "explain":
-	default:
-		return nil, fmt.Errorf("core: ReadAsOf is read-only; got %q", firstKeyword(sql))
-	}
-	sn, err := s.DB.SnapshotAt(lsn)
-	if err != nil {
-		return nil, err
-	}
-	defer sn.Release()
-	return s.Engine.ExecTracedAt(sql, nil, sn)
+	return s.ReadAsOfCtx(context.Background(), lsn, sql)
 }
 
-// ReadAsOfTraced is ReadAsOf under a caller-supplied span (EXPLAIN
-// ANALYZE-style tooling); sp may be nil.
-func (s *System) ReadAsOfTraced(lsn uint64, sql string, sp *obs.Span) (*sqlengine.Result, error) {
+// ReadAsOfCtx is ReadAsOf under a context: the scan stops early when
+// the context fires. Like Exec, every statement it runs lands in the
+// query.sql_ns histogram and the slow-query log.
+func (s *System) ReadAsOfCtx(ctx context.Context, lsn uint64, sql string) (*sqlengine.Result, error) {
 	switch firstKeyword(sql) {
 	case "select", "explain":
 	default:
 		return nil, fmt.Errorf("core: ReadAsOf is read-only; got %q", firstKeyword(sql))
 	}
+	start := time.Now()
+	var res *sqlengine.Result
 	sn, err := s.DB.SnapshotAt(lsn)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		res, err = s.Engine.ExecTracedAtCtx(ctx, sql, nil, sn)
+		sn.Release()
 	}
-	defer sn.Release()
-	return s.Engine.ExecTracedAt(sql, sp, sn)
+	rows := 0
+	if res != nil {
+		rows = len(res.Rows)
+	}
+	s.observeQuery(s.qhSQL, "sql", sql, time.Since(start), rows, err)
+	return res, err
 }
 
 // Compact archives every clustered attribute table's live segment that

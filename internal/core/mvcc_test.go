@@ -83,3 +83,17 @@ func TestReadAsOfRejectsWrites(t *testing.T) {
 		t.Errorf("ReadAsOf accepted an UPDATE: %v", err)
 	}
 }
+
+// TestReadAsOfRecordsLatency: point-in-time reads land in the same
+// query.sql_ns histogram as Exec, one sample per call.
+func TestReadAsOfRecordsLatency(t *testing.T) {
+	s := newLoadedSystem(t, Options{})
+	count := func() int64 { return s.MetricsSnapshot().Histograms["query.sql_ns"].Count }
+	before := count()
+	if _, err := s.ReadAsOf(0, `select count(*) from employee`); err != nil {
+		t.Fatal(err)
+	}
+	if got := count() - before; got != 1 {
+		t.Errorf("one ReadAsOf added %d query.sql_ns samples, want 1", got)
+	}
+}

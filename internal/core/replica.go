@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"archis/internal/obs"
-	"archis/internal/sqlengine"
 	"archis/internal/wal"
 )
 
@@ -110,22 +108,6 @@ func (s *System) SetWALRetention(fn func() uint64) {
 		return
 	}
 	s.wal.SetRetention(fn)
-}
-
-// ReadAsOfCtx is ReadAsOf under a context: the scan stops early when
-// the context fires.
-func (s *System) ReadAsOfCtx(ctx context.Context, lsn uint64, sql string) (*sqlengine.Result, error) {
-	switch firstKeyword(sql) {
-	case "select", "explain":
-	default:
-		return nil, fmt.Errorf("core: ReadAsOf is read-only; got %q", firstKeyword(sql))
-	}
-	sn, err := s.DB.SnapshotAt(lsn)
-	if err != nil {
-		return nil, err
-	}
-	defer sn.Release()
-	return s.Engine.ExecTracedAtCtx(ctx, sql, nil, sn)
 }
 
 // ServeObserve records one served query in the given histogram and

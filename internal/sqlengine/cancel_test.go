@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"archis/internal/relstore"
 )
 
 // Context cancellation (DESIGN.md §15.1): a cancelled query must stop
@@ -13,42 +15,115 @@ import (
 // engine fully reusable. Mutations are never interrupted mid-flight —
 // only rejected when the context fired before they started.
 
-// TestCancelMidJoinReturnsFast pins the served path's latency
-// contract: cancelling a long-running query returns within 50ms of
-// the cancel, orders of magnitude before the query would finish.
-func TestCancelMidJoinReturnsFast(t *testing.T) {
-	en, db := newParallelDB(t, 3000)
-	base := db.Stats().PinnedReaders
+// genTable is a synthetic virtual source of n rows (k, v) =
+// (off+i, i%97), generated 1024 rows per morsel or batch: scans as
+// long as a test needs without storing the rows.
+type genTable struct{ n, off int }
 
-	// Non-equi nested-loop join: 9M row pairs, far beyond 50ms.
-	slow := `select count(*) from pt a, pt b where a.v + b.v = 123456789`
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := en.ExecCtx(ctx, slow)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	start := time.Now()
-	select {
-	case err := <-done:
-		if d := time.Since(start); d > 50*time.Millisecond {
-			t.Errorf("cancelled query took %s to return, want <50ms", d)
+func (g genTable) Schema() relstore.Schema {
+	return relstore.NewSchema("gen", relstore.Column{Name: "k", Type: relstore.TypeInt}, relstore.Column{Name: "v", Type: relstore.TypeInt})
+}
+
+func (g genTable) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
+	ms, _ := g.ScanMorsels(bounds)
+	for _, m := range ms {
+		if stopped, err := m(true, fn); stopped || err != nil {
+			return err
 		}
-		if err == nil || !strings.Contains(err.Error(), "cancelled") {
-			t.Errorf("cancelled query returned %v, want a cancellation error", err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("cancellation error does not wrap context.Canceled: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled query still running after 2s")
 	}
+	return nil
+}
 
-	// The pinned snapshot must be released on the error path.
-	if got := db.Stats().PinnedReaders; got != base {
-		t.Errorf("pinned readers = %d after cancellation, want %d", got, base)
+func (g genTable) ScanMorsels([]relstore.ZoneBound) ([]relstore.MorselFunc, error) {
+	var out []relstore.MorselFunc
+	for lo := 0; lo < g.n; lo += 1024 {
+		hi := min(lo+1024, g.n)
+		out = append(out, func(_ bool, fn func(relstore.Row) bool) (bool, error) {
+			for i := lo; i < hi; i++ {
+				if !fn(relstore.Row{relstore.Int(int64(g.off + i)), relstore.Int(int64(i % 97))}) {
+					return true, nil
+				}
+			}
+			return false, nil
+		})
+	}
+	return out, nil
+}
+
+func (g genTable) ScanBatches([]relstore.ZoneBound, []bool) ([]relstore.BatchFunc, error) {
+	var out []relstore.BatchFunc
+	for lo := 0; lo < g.n; lo += 1024 {
+		hi := min(lo+1024, g.n)
+		out = append(out, func(fn func(*relstore.ColBatch) bool) (bool, error) {
+			b := &relstore.ColBatch{N: hi - lo, Cols: []relstore.ColVec{
+				{Present: true, Kind: relstore.TypeInt, I: make([]int64, hi-lo)},
+				{Present: true, Kind: relstore.TypeInt, I: make([]int64, hi-lo)},
+			}}
+			for i := lo; i < hi; i++ {
+				b.Cols[0].I[i-lo], b.Cols[1].I[i-lo] = int64(g.off+i), int64(i%97)
+			}
+			return !fn(b), nil
+		})
+	}
+	return out, nil
+}
+
+// TestCancelMidJoinReturnsFast pins the served path's latency
+// contract for every drain shape: cancelling a long-running query
+// returns within 50ms of the cancel, orders of magnitude before the
+// query would finish, with the pinned snapshot released.
+func TestCancelMidJoinReturnsFast(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		sql     string
+	}{
+		// Non-equi nested-loop join: 9M row pairs, far beyond 50ms.
+		{"nested-loop", 0, `select count(*) from pt a, pt b where a.v + b.v = 123456789`},
+		// Inline vectorized drain over 16M generated rows.
+		{"columnar-scan-w1", 1, `select count(*) from gen where v >= 0`},
+		// Fused build-inner probe (equal estimates tie toward FROM
+		// order) streaming 16M generated rows over page morsels; no key
+		// ever matches.
+		{"fused-probe", 2, `select count(*) from gen g, gsmall s where g.k = s.k`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			en, db := newParallelDB(t, 3000)
+			en.RegisterVirtual("gen", genTable{n: 1 << 24})
+			en.RegisterVirtual("gsmall", genTable{n: 16, off: -100})
+			en.Workers = tc.workers
+			if tc.name == "fused-probe" && !strings.Contains(explainText(t, en, tc.sql), "(streamed)") {
+				t.Fatalf("not a fused probe:\n%s", explainText(t, en, tc.sql))
+			}
+			base := db.Stats().PinnedReaders
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := en.ExecCtx(ctx, tc.sql)
+				done <- err
+			}()
+			time.Sleep(10 * time.Millisecond)
+			cancel()
+			start := time.Now()
+			select {
+			case err := <-done:
+				if d := time.Since(start); d > 50*time.Millisecond {
+					t.Errorf("cancelled query took %s to return, want <50ms", d)
+				}
+				if err == nil || !strings.Contains(err.Error(), "cancelled") {
+					t.Errorf("cancelled query returned %v, want a cancellation error", err)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("cancellation error does not wrap context.Canceled: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("cancelled query still running after 2s")
+			}
+			// The pinned snapshot must be released on the error path.
+			if got := db.Stats().PinnedReaders; got != base {
+				t.Errorf("pinned readers = %d after cancellation, want %d", got, base)
+			}
+		})
 	}
 }
 

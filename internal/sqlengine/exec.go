@@ -10,13 +10,7 @@ import (
 
 	"archis/internal/obs"
 	"archis/internal/relstore"
-	"archis/internal/temporal"
 )
-
-// indexJoinThreshold: below this many outer rows, an index
-// nested-loop join beats building a hash table over the (possibly
-// huge) inner table — the Q1/Q3 "single object" shape.
-const indexJoinThreshold = 4096
 
 // source abstracts base and virtual tables for scanning.
 type source struct {
@@ -24,13 +18,6 @@ type source struct {
 	schema  relstore.Schema
 	base    *relstore.Table // nil for virtual
 	virtual VirtualTable
-}
-
-func (s *source) scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	if s.base != nil {
-		return s.base.Scan(bounds, func(_ relstore.RID, row relstore.Row) bool { return fn(row) })
-	}
-	return s.virtual.Scan(bounds, fn)
 }
 
 // scanBorrow is scan on the zero-copy path: rows may alias shared
@@ -247,159 +234,6 @@ func (en *Engine) colConstConjunct(e Expr, s *source, sources []*source) (col in
 	return 0, "", relstore.Null, false
 }
 
-// scanPlan is the compiled single-table access plan: pushed-down zone
-// bounds, an optional equality-index probe, the residual filter, and
-// (planner on) the cardinality estimates behind the choice.
-type scanPlan struct {
-	bounds  []relstore.ZoneBound
-	eqVal   relstore.Value
-	eqIndex *relstore.Index
-	filter  evalFunc
-	est     planEstimate
-}
-
-// planScan builds the access plan for one source: index selection,
-// zone-bound pushdown, residual filter compilation. With the planner
-// on, the eq-index probe is taken only when the cost model prefers it
-// over the bounded scan and the most selective candidate wins; with
-// the planner off, the first eq conjunct with an index wins
-// unconditionally (the legacy heuristic).
-func (en *Engine) planScan(s *source, conjuncts []Expr, sources []*source) (*scanPlan, error) {
-	layout := layoutFor(s.alias, s.schema)
-	p := &scanPlan{}
-	var cands []eqCandidate
-	var conj conjunctStats
-	for _, c := range conjuncts {
-		col, op, v, ok := en.colConstConjunct(c, s, sources)
-		if !ok {
-			conj.opaque++
-			continue
-		}
-		// Zone bound for INT/DATE columns.
-		ct := s.schema.Columns[col].Type
-		zv := v
-		if ct == relstore.TypeDate && v.Kind == relstore.TypeString {
-			if d, err := temporal.ParseDate(strings.TrimSpace(v.S)); err == nil {
-				zv = relstore.DateV(d)
-			}
-		}
-		if (ct == relstore.TypeInt || ct == relstore.TypeDate) &&
-			(zv.Kind == relstore.TypeInt || zv.Kind == relstore.TypeDate) {
-			p.bounds = append(p.bounds, relstore.ZoneBound{Col: col, Op: op, Bound: zv.I})
-		}
-		// Index equality candidate.
-		if op == "=" {
-			added := false
-			if s.base != nil {
-				if ix := s.base.IndexOn(col); ix != nil {
-					cv, err := coerce(zv, ct)
-					if err == nil {
-						cands = append(cands, eqCandidate{col: col, val: cv, ix: ix})
-						added = true
-					}
-				}
-			}
-			if !added {
-				conj.eqUnindexed++
-			}
-		} else {
-			conj.ranges++
-		}
-	}
-	if en.Planner {
-		en.chooseAccess(s, p, cands, conj)
-	} else if len(cands) > 0 {
-		p.eqVal, p.eqIndex = cands[0].val, cands[0].ix
-	}
-
-	// Compile the full residual predicate (reapplying pushed bounds is
-	// harmless and keeps correctness independent of pruning).
-	if len(conjuncts) > 0 {
-		var pred Expr = conjuncts[0]
-		for _, c := range conjuncts[1:] {
-			pred = &BinaryExpr{Op: "AND", L: pred, R: c}
-		}
-		var err error
-		if p.filter, err = en.compileExpr(pred, layout); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// scanOne executes the single-table part of the plan: index selection,
-// zone-bound pushdown, residual filtering. Returned rows are borrowed
-// (read-only, may alias shared storage).
-func (en *Engine) scanOne(ctx context.Context, s *source, conjuncts []Expr, sources []*source) ([]relstore.Row, error) {
-	p, err := en.planScan(s, conjuncts, sources)
-	if err != nil {
-		return nil, err
-	}
-	var out []relstore.Row
-	err = en.runScanPlan(ctx, s, p, func(row relstore.Row) (bool, error) {
-		out = append(out, row)
-		return true, nil
-	})
-	return out, err
-}
-
-// runScanPlan drives a compiled plan (index probe or bounded borrow
-// scan) and streams each row surviving the residual filter into emit.
-// Rows are borrowed; emit returning false stops the scan early. The
-// context is polled at row granularity so a cancelled query stops
-// mid-scan.
-func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit func(relstore.Row) (bool, error)) error {
-	cc := newCancelProbe(ctx)
-	pass := func(row relstore.Row) (bool, error) {
-		if cc.tick() {
-			return false, cc.err()
-		}
-		if p.filter != nil {
-			v, err := p.filter(row)
-			if err != nil {
-				return false, err
-			}
-			if !v.AsBool() {
-				return true, nil
-			}
-		}
-		return emit(row)
-	}
-
-	if p.eqIndex != nil {
-		// Probed rows ride the zero-copy path like scans do: GetBorrow
-		// hands out rows aliasing immutable page-cache storage, so the
-		// probe loop allocates nothing per row.
-		for _, rid := range p.eqIndex.Lookup([]relstore.Value{p.eqVal}) {
-			row, live, err := s.base.GetBorrow(rid)
-			if err != nil {
-				return err
-			}
-			if !live {
-				continue
-			}
-			if cont, err := pass(row); err != nil || !cont {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var scanErr error
-	err := s.scanBorrow(p.bounds, func(row relstore.Row) bool {
-		cont, err := pass(row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return cont
-	})
-	if err == nil {
-		err = scanErr
-	}
-	return err
-}
-
 // equiJoinCond recognizes `a.x = b.y` between a bound alias set and a
 // new alias.
 type equiJoin struct {
@@ -500,229 +334,36 @@ func appendKey(dst []byte, vals []relstore.Value) []byte {
 	return dst
 }
 
+// execSelect plans stmt once and runs the plan: a single-source
+// statement drains its scan straight into aggregation or projection;
+// a join chain drains its driving scan (or streams it into the fused
+// first probe), folds in each source, then applies the residual
+// filter before projection.
 func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("sql: SELECT requires FROM")
-	}
 	if sn != nil {
 		sp.SetInt("snapshot_lsn", int64(sn.LSN()))
 	}
-	sources := make([]*source, len(stmt.From))
-	seen := map[string]bool{}
-	for i, ref := range stmt.From {
-		s, err := en.resolveSource(ref, sn)
-		if err != nil {
-			return nil, err
-		}
-		key := strings.ToLower(ref.Alias)
-		if seen[key] {
-			return nil, fmt.Errorf("sql: duplicate alias %s", ref.Alias)
-		}
-		seen[key] = true
-		sources[i] = s
+	p, err := en.planSelect(ctx, stmt, sn)
+	if err != nil {
+		return nil, err
 	}
-
-	var conjuncts []Expr
-	if stmt.Where != nil {
-		conjuncts = splitAnd(stmt.Where, nil)
+	if len(p.folds) == 0 {
+		return en.execScan(ctx, p, sp)
 	}
-	// Valid-time scope (validtime.go): rewritten to plain conjuncts
-	// here, before partitioning, so pushdown and planning see them as
-	// ordinary predicates.
-	if d, ok := ValidAsOf(ctx); ok {
-		conjuncts = append(conjuncts, validConjuncts(sources, d)...)
+	rows, err := en.execFolds(ctx, p, sp)
+	if err != nil {
+		return nil, err
 	}
-
-	// Partition conjuncts by the aliases they touch.
-	perAlias := map[string][]Expr{}
-	var multi []Expr
-	for _, c := range conjuncts {
-		aliases := map[string]bool{}
-		if err := exprAliases(c, sources, aliases); err != nil {
-			return nil, err
-		}
-		switch len(aliases) {
-		case 0, 1:
-			target := ""
-			for a := range aliases {
-				target = a
-			}
-			if target == "" {
-				multi = append(multi, c) // constant predicate; apply at end
-			} else {
-				perAlias[target] = append(perAlias[target], c)
-			}
-		default:
-			multi = append(multi, c)
-		}
-	}
-
-	// Single-table statements with no usable point index take the
-	// vectorized path when the storage streams column batches, else
-	// fan out over row morsels when the engine is configured for
-	// parallel scans.
-	if len(sources) == 1 {
-		if res, handled, err := en.execSingleBatch(ctx, stmt, sources[0], conjuncts, sources, sp); handled {
-			return res, err
-		}
-		if res, handled, err := en.execSingleParallel(ctx, stmt, sources[0], conjuncts, sources, sp); handled {
-			return res, err
-		}
-	}
-
-	// Plan the fold order. With the planner on, sources are reordered
-	// greedily by estimated cardinality and each fold gets a static,
-	// estimate-driven strategy; with it off, FROM order and the legacy
-	// runtime heuristics apply.
-	ordered := sources
-	var jplan *joinPlan
-	if en.Planner && len(sources) > 1 {
-		var err error
-		if jplan, err = en.planJoins(sources, perAlias, multi); err != nil {
-			return nil, err
-		}
-		ordered = make([]*source, len(sources))
-		for i, idx := range jplan.order {
-			ordered[i] = sources[idx]
-		}
-	}
-
-	// Scan the first source, then fold in the rest. When the first fold
-	// is a build-on-inner hash join, the initial scan is fused into the
-	// probe (hashJoinFirst), which streams the outer side and can fan
-	// it out over morsels.
-	first := ordered[0]
-	firstConjuncts := perAlias[strings.ToLower(first.alias)]
-	layout := layoutFor(first.alias, first.schema)
-	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
-	pendingMulti := multi
-	var rows []relstore.Row
-	var err error
-	scanned := false
-
-	// scanFirst runs the serial scan of the leading source under a
-	// "scan" span.
-	scanFirst := func() error {
-		ss := sp.Child("scan")
-		ss.SetAttr("table", first.alias)
-		var plan *scanPlan
-		if plan, err = en.planScan(first, firstConjuncts, sources); err != nil {
-			ss.End()
-			return err
-		}
-		if plan.est.Planned {
-			ss.SetAttr("access", plan.est.Access)
-			ss.SetInt("est_rows", int64(plan.est.OutRows))
-		}
-		err = en.runScanPlan(ctx, first, plan, func(row relstore.Row) (bool, error) {
-			rows = append(rows, row)
-			return true, nil
-		})
-		ss.AddRows(0, int64(len(rows)))
-		ss.End()
-		return err
-	}
-
-	foldProbe := newCancelProbe(ctx)
-	for fi, s := range ordered[1:] {
-		if foldProbe.check() {
-			return nil, foldProbe.err()
-		}
-		joins, rest := en.equiJoinConds(pendingMulti, layout, joinedAliases, s, sources)
-		pendingMulti = rest
-		newLayout := layout.concat(layoutFor(s.alias, s.schema))
-
-		singles := perAlias[strings.ToLower(s.alias)]
-		var fp *foldPlan
-		if jplan != nil {
-			fp = &jplan.folds[fi]
-		}
-		if !scanned {
-			scanned = true
-			fuse := len(joins) > 0
-			if fp != nil {
-				fuse = fuse && fp.strategy == stratHashBuildInner
-			} else {
-				// Legacy rule: fuse only when the index-join plan is
-				// off the table regardless of outer cardinality.
-				fuse = fuse && !(s.base != nil && s.base.IndexOn(joins[0].newPos) != nil)
-			}
-			if fuse {
-				rows, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, singles, sources, fp, sp)
-				if err != nil {
-					return nil, err
-				}
-				layout = newLayout
-				joinedAliases[strings.ToLower(s.alias)] = true
-				continue
-			}
-			if err := scanFirst(); err != nil {
-				return nil, err
-			}
-		}
-		in := int64(len(rows))
-		strat := stratNested
-		switch {
-		case fp != nil:
-			strat = fp.strategy
-		case len(joins) > 0 && s.base != nil && len(rows) <= indexJoinThreshold && s.base.IndexOn(joins[0].newPos) != nil:
-			// Legacy rule: index nested-loop join on the first equi key
-			// below the fixed outer-row threshold.
-			strat = stratIndex
-		case len(joins) > 0:
-			strat = stratHashBuildInner
-		}
-		switch strat {
-		case stratIndex:
-			// Index nested-loop join on the first equi key; remaining
-			// keys and single-table predicates filter after the probe.
-			js := sp.Child("join:index")
-			js.SetAttr("table", s.alias)
-			rows, err = en.indexJoin(ctx, rows, s, joins, singles, sources, newLayout)
-			js.AddRows(in, int64(len(rows)))
-			js.End()
-		case stratHashBuildInner:
-			rows, err = en.hashJoin(ctx, rows, s, joins, singles, sources, fp, sp)
-		case stratHashBuildOuter:
-			rows, err = en.hashJoinBuildOuter(ctx, rows, s, joins, singles, sources, fp, sp)
-		default:
-			js := sp.Child("join:nested-loop")
-			js.SetAttr("table", s.alias)
-			rows, err = en.nestedLoopJoin(ctx, rows, s, singles, sources)
-			js.AddRows(in, int64(len(rows)))
-			js.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-		layout = newLayout
-		joinedAliases[strings.ToLower(s.alias)] = true
-	}
-	if !scanned {
-		if err := scanFirst(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Residual predicates.
-	if len(pendingMulti) > 0 {
+	if p.filter != nil {
 		fs := sp.Child("filter")
 		fs.AddRows(int64(len(rows)), 0)
-		var pred Expr = pendingMulti[0]
-		for _, c := range pendingMulti[1:] {
-			pred = &BinaryExpr{Op: "AND", L: pred, R: c}
-		}
-		fn, err := en.compileExpr(pred, layout)
-		if err != nil {
-			return nil, err
-		}
 		fcc := newCancelProbe(ctx)
 		kept := rows[:0]
 		for _, r := range rows {
 			if fcc.tick() {
 				return nil, fcc.err()
 			}
-			v, err := fn(r)
+			v, err := p.filter(r)
 			if err != nil {
 				return nil, err
 			}
@@ -734,100 +375,104 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		fs.AddRows(0, int64(len(rows)))
 		fs.End()
 	}
-
-	return en.project(stmt, rows, layout, sources, sp)
+	return en.project(stmt, rows, p.layout, p.sources, sp)
 }
 
-func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, newLayout *rowLayout) ([]relstore.Row, error) {
-	cc := newCancelProbe(ctx)
-	ix := s.base.IndexOn(joins[0].newPos)
-	// Compile the inner-side residual (single-table predicates).
-	var filter evalFunc
-	if len(singles) > 0 {
-		var pred Expr = singles[0]
-		for _, c := range singles[1:] {
-			pred = &BinaryExpr{Op: "AND", L: pred, R: c}
-		}
-		var err error
-		if filter, err = en.compileExpr(pred, layoutFor(s.alias, s.schema)); err != nil {
-			return nil, err
-		}
-	}
-	var out []relstore.Row
-	for _, o := range outer {
-		if cc.tick() {
-			return nil, cc.err()
-		}
-		probe := o[joins[0].boundPos]
-		if probe.IsNull() {
-			continue
-		}
-		pv, err := coerce(probe, s.schema.Columns[joins[0].newPos].Type)
-		if err != nil {
-			continue
-		}
-		for _, rid := range ix.Lookup([]relstore.Value{pv}) {
-			row, live, err := s.base.GetBorrow(rid)
-			if err != nil {
-				return nil, err
-			}
-			if !live {
-				continue
-			}
-			match := true
-			for _, j := range joins[1:] {
-				if compareValues(o[j.boundPos], row[j.newPos]) != 0 || row[j.newPos].IsNull() {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			if filter != nil {
-				v, err := filter(row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.AsBool() {
-					continue
-				}
-			}
-			combined := make(relstore.Row, 0, len(o)+len(row))
-			combined = append(combined, o...)
-			combined = append(combined, row...)
-			out = append(out, combined)
-		}
-	}
-	return out, nil
-}
-
-func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *source, singles []Expr, sources []*source) ([]relstore.Row, error) {
-	inner, err := en.scanOne(ctx, s, singles, sources)
+// execScan runs a single-source plan: one drain of the scan's morsels
+// into per-sink accumulators (grouped) or row lists, merged in morsel
+// order when the drain fanned out.
+func (en *Engine) execScan(ctx context.Context, p *selectPlan, sp *obs.Span) (*Result, error) {
+	morsels, err := en.morsels(p.first)
 	if err != nil {
 		return nil, err
 	}
-	cc := newCancelProbe(ctx)
-	// Cap the up-front allocation: a cross product's full extent can
-	// be enormous, and reserving it all before the first probe would
-	// delay cancellation by the whole (possibly huge) zeroing.
-	capHint := len(outer) * len(inner)
-	if capHint > 1<<16 {
-		capHint = 1 << 16
+	workers := min(p.first.workers, len(morsels))
+	ss := openScan(sp, p.first, workers, len(morsels))
+	parts, err := en.drain(ctx, morsels, workers, func() *sink {
+		if p.group != nil {
+			return &sink{acc: p.group.newAcc()}
+		}
+		return &sink{}
+	})
+	ss.End()
+	if err != nil {
+		return nil, err
 	}
-	out := make([]relstore.Row, 0, capHint)
-	for _, o := range outer {
-		for _, m := range inner {
-			if cc.tick() {
-				return nil, cc.err()
+	var mg *obs.Span // inline: one accumulator, nothing to merge
+	if p.group != nil && len(parts) > 1 {
+		mg = sp.Child("agg-merge")
+	}
+	out, err := merge(parts)
+	if err != nil {
+		return nil, err
+	}
+	if p.group != nil {
+		mg.SetInt("partials", int64(len(parts)))
+		mg.AddRows(0, int64(len(out.acc.order)))
+		mg.End()
+		return en.finalizeGroups(p.group, out.acc, sp)
+	}
+	ss.AddRows(0, int64(len(out.rows)))
+	return en.project(p.stmt, out.rows, p.layout, p.sources, sp)
+}
+
+// execFolds runs a join chain's driving scan and folds, returning the
+// joined rows in the plan's layout.
+func (en *Engine) execFolds(ctx context.Context, p *selectPlan, sp *obs.Span) ([]relstore.Row, error) {
+	var rows []relstore.Row
+	var err error
+	cc := newCancelProbe(ctx)
+	for i := range p.folds {
+		if cc.check() {
+			return nil, cc.err()
+		}
+		f := &p.folds[i]
+		if f.fused {
+			if rows, err = en.hashJoin(ctx, p.first, nil, f, sp); err != nil {
+				return nil, err
 			}
-			combined := make(relstore.Row, 0, len(o)+len(m))
-			combined = append(combined, o...)
-			combined = append(combined, m...)
-			out = append(out, combined)
+			continue
+		}
+		if i == 0 {
+			ss := openScan(sp, p.first, 1, 1)
+			rows, err = en.scanRows(ctx, p.first)
+			ss.AddRows(0, int64(len(rows)))
+			ss.End()
+			if err != nil {
+				return nil, err
+			}
+		}
+		in := int64(len(rows))
+		strat := f.strategy
+		if strat == stratIndexOrHash {
+			strat = stratHashBuildInner
+			if len(rows) <= indexJoinThreshold {
+				strat = stratIndex
+			}
+		}
+		switch strat {
+		case stratIndex:
+			js := sp.Child("join:index")
+			js.SetAttr("table", f.scan.src.alias)
+			rows, err = en.indexJoin(ctx, rows, f)
+			js.AddRows(in, int64(len(rows)))
+			js.End()
+		case stratHashBuildInner:
+			rows, err = en.hashJoin(ctx, nil, rows, f, sp)
+		case stratHashBuildOuter:
+			rows, err = en.hashJoinBuildOuter(ctx, rows, f, sp)
+		default:
+			js := sp.Child("join:nested-loop")
+			js.SetAttr("table", f.scan.src.alias)
+			rows, err = en.nestedLoopJoin(ctx, rows, f)
+			js.AddRows(in, int64(len(rows)))
+			js.End()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return rows, nil
 }
 
 // ---- projection, grouping, ordering ----

@@ -9,10 +9,10 @@ import (
 	"archis/internal/relstore"
 )
 
-// EXPLAIN [ANALYZE] rendering. Plain EXPLAIN walks the same planner
-// decisions execSelect makes — index selection, zone-bound pushdown,
-// morsel eligibility, join strategy — without executing, so it is
-// deterministic and cheap. EXPLAIN ANALYZE executes the statement
+// EXPLAIN [ANALYZE] rendering. Plain EXPLAIN renders the plan
+// planSelect decides — index selection, zone-bound pushdown, morsel
+// access, join strategy — without executing, so it is deterministic
+// and cheap. EXPLAIN ANALYZE executes the statement
 // under a fresh tracer and renders the finished span tree, so every
 // node carries measured timings and cardinalities.
 
@@ -42,254 +42,102 @@ func planResult(text string) *Result {
 	return res
 }
 
-// explainSelect renders the static access plan, mirroring the
-// decision order of execSelect. Cardinality-dependent runtime choices
-// (index vs hash join under indexJoinThreshold outer rows) are shown
-// as the rule the executor applies.
+// explainSelect renders the statement's plan — the same selectPlan
+// execSelect runs. The cardinality-dependent planner-off rule (index
+// vs hash join under indexJoinThreshold outer rows) is shown as the
+// rule the executor applies, and a fan-out shows the configured
+// worker cap (the drain runs min(cap, morsels) workers).
 func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relstore.Snapshot) ([]string, error) {
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("sql: SELECT requires FROM")
+	p, err := en.planSelect(ctx, stmt, sn)
+	if err != nil {
+		return nil, err
 	}
-	sources := make([]*source, len(stmt.From))
-	seen := map[string]bool{}
-	for i, ref := range stmt.From {
-		s, err := en.resolveSource(ref, sn)
-		if err != nil {
-			return nil, err
-		}
-		key := strings.ToLower(ref.Alias)
-		if seen[key] {
-			return nil, fmt.Errorf("sql: duplicate alias %s", ref.Alias)
-		}
-		seen[key] = true
-		sources[i] = s
-	}
-
-	var conjuncts []Expr
-	if stmt.Where != nil {
-		conjuncts = splitAnd(stmt.Where, nil)
-	}
-	validAt, hasValidAt := ValidAsOf(ctx)
-	if hasValidAt {
-		conjuncts = append(conjuncts, validConjuncts(sources, validAt)...)
-	}
-	perAlias := map[string][]Expr{}
-	var multi []Expr
-	for _, c := range conjuncts {
-		aliases := map[string]bool{}
-		if err := exprAliases(c, sources, aliases); err != nil {
-			return nil, err
-		}
-		switch len(aliases) {
-		case 0, 1:
-			target := ""
-			for a := range aliases {
-				target = a
-			}
-			if target == "" {
-				multi = append(multi, c)
-			} else {
-				perAlias[target] = append(perAlias[target], c)
-			}
-		default:
-			multi = append(multi, c)
-		}
-	}
-
 	var lines []string
 	add := func(depth int, format string, args ...any) {
 		lines = append(lines, strings.Repeat("  ", depth)+fmt.Sprintf(format, args...))
 	}
-
-	describeScan := func(s *source, cs []Expr) (string, error) {
-		p, err := en.planScan(s, cs, sources)
-		if err != nil {
-			return "", err
-		}
-		kind := "table"
-		if s.base == nil {
-			kind = "virtual"
-		}
-		d := fmt.Sprintf("scan %s (%s)", s.alias, kind)
-		if p.eqIndex != nil {
-			d = fmt.Sprintf("index scan %s (index %s)", s.alias, p.eqIndex.Name)
-		}
-		if len(p.bounds) > 0 {
-			d += fmt.Sprintf(" bounds=%d", len(p.bounds))
-		}
-		if p.filter != nil {
-			d += fmt.Sprintf(" filter=%d conjuncts", len(cs))
-		}
-		if p.est.Planned {
-			d += fmt.Sprintf(" est=%d", p.est.OutRows)
-		}
-		return d, nil
-	}
-
 	add(0, "select")
-	if hasValidAt {
+	if p.hasValidAt {
 		// Surfaced so bitemporal plans are distinguishable from
 		// transaction-time ones; the rewritten conjuncts themselves are
 		// already counted in the filter/bounds figures below.
-		add(1, "valid_pred=vstart<=%s<=vend", validAt)
+		add(1, "valid_pred=vstart<=%s<=vend", p.validAt)
 	}
 
-	if len(sources) == 1 {
-		s := sources[0]
-		d, err := describeScan(s, conjuncts)
-		if err != nil {
-			return nil, err
+	first := describeScan(p.first)
+	switch {
+	case len(p.folds) == 0 && p.first.workers > 1:
+		add(1, "morsel-fanout workers=%d", p.first.workers)
+		add(2, "%s", first)
+		if p.group != nil {
+			add(1, "agg-merge")
 		}
-		// Vectorized path first, mirroring execSelect's decision order:
-		// columnar mode on, batch-streaming storage, no index probe.
-		if en.Columnar && s.base == nil && !strings.HasPrefix(d, "index scan") {
-			if _, ok := s.virtual.(BatchSource); ok {
-				d += " access=colscan"
-				workers := en.scanWorkers()
-				grouped := en.isGrouped(stmt)
-				if grouped {
-					p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
-					if err != nil {
-						return nil, err
-					}
-					if !p.mergeable() {
-						workers = 1
-					}
-				}
-				if workers > 1 {
-					add(1, "morsel-fanout workers=%d", workers)
-					add(2, "%s", d)
-					if grouped {
-						add(1, "agg-merge")
-					}
-				} else {
-					add(1, "%s", d)
-				}
-				explainProject(stmt, add)
-				return lines, nil
-			}
-		}
-		parallel := false
-		if workers := en.scanWorkers(); workers > 1 && !strings.HasPrefix(d, "index scan") {
-			if _, ok := s.morselSource(); ok {
-				if en.isGrouped(stmt) {
-					p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
-					if err != nil {
-						return nil, err
-					}
-					parallel = p.mergeable()
-				} else {
-					parallel = true
-				}
-			}
-		}
-		if parallel {
-			add(1, "morsel-fanout workers=%d", en.scanWorkers())
-			add(2, "%s", d)
-			if en.isGrouped(stmt) {
-				add(1, "agg-merge")
-			}
-		} else {
-			add(1, "%s", d)
-		}
-		explainProject(stmt, add)
-		return lines, nil
+	case len(p.folds) == 0 || !p.folds[0].fused:
+		add(1, "%s", first)
 	}
-
-	// Multi-source: describe the fold order of execSelect. With the
-	// planner on, the folds follow planJoins (greedy reordering plus
-	// static build-side/strategy choices); with it off, FROM order and
-	// the legacy runtime rules are rendered.
-	ordered := sources
-	var jplan *joinPlan
-	if en.Planner {
-		var err error
-		if jplan, err = en.planJoins(sources, perAlias, multi); err != nil {
-			return nil, err
-		}
-		ordered = make([]*source, len(sources))
-		for i, idx := range jplan.order {
-			ordered[i] = sources[idx]
-		}
-	}
-	first := ordered[0]
-	layout := layoutFor(first.alias, first.schema)
-	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
-	pendingMulti := multi
-	scanned := false
-	for fi, s := range ordered[1:] {
-		joins, rest := en.equiJoinConds(pendingMulti, layout, joinedAliases, s, sources)
-		pendingMulti = rest
-		singles := perAlias[strings.ToLower(s.alias)]
-		innerIndexed := s.base != nil && len(joins) > 0 && s.base.IndexOn(joins[0].newPos) != nil
-		var fp *foldPlan
-		if jplan != nil {
-			fp = &jplan.folds[fi]
-		}
-		if !scanned {
-			scanned = true
-			fd, err := describeScan(first, perAlias[strings.ToLower(first.alias)])
-			if err != nil {
-				return nil, err
-			}
-			fuse := len(joins) > 0
-			if fp != nil {
-				fuse = fuse && fp.strategy == stratHashBuildInner
-			} else {
-				fuse = fuse && !innerIndexed
-			}
-			if fuse {
-				// Fused first fold: scan streams into the probe
-				// (hashJoinFirst), exactly like execSelect's continue.
-				id, err := describeScan(s, singles)
-				if err != nil {
-					return nil, err
-				}
-				if fp != nil {
-					add(1, "hash join keys=%d build=%s est outer=%d inner=%d out=%d",
-						len(joins), s.alias, fp.estOuter, fp.estInner, fp.estOut)
-				} else {
-					add(1, "hash join keys=%d", len(joins))
-				}
-				add(2, "build: %s", id)
-				add(2, "probe: %s (streamed)", fd)
-				layout = layout.concat(layoutFor(s.alias, s.schema))
-				joinedAliases[strings.ToLower(s.alias)] = true
-				continue
-			}
-			add(1, "%s", fd)
-		}
+	for i := range p.folds {
+		f := &p.folds[i]
+		alias := f.scan.src.alias
 		switch {
-		case fp != nil:
-			switch fp.strategy {
-			case stratIndex:
-				add(1, "index join %s keys=%d (index %s) est outer=%d out=%d",
-					s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut)
-			case stratHashBuildInner:
-				add(1, "hash join %s keys=%d build=%s est outer=%d inner=%d out=%d",
-					s.alias, len(joins), s.alias, fp.estOuter, fp.estInner, fp.estOut)
-			case stratHashBuildOuter:
-				add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d",
-					s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut)
-			default:
-				add(1, "nested-loop join %s est out=%d", s.alias, fp.estOut)
-			}
-		case len(joins) > 0 && innerIndexed:
+		case f.fused && f.planned:
+			add(1, "hash join keys=%d build=%s est outer=%d inner=%d out=%d",
+				len(f.joins), alias, f.estOuter, f.estInner, f.estOut)
+		case f.fused:
+			add(1, "hash join keys=%d", len(f.joins))
+		case f.strategy == stratIndex:
+			add(1, "index join %s keys=%d (index %s) est outer=%d out=%d",
+				alias, len(f.joins), f.index.Name, f.estOuter, f.estOut)
+		case f.strategy == stratIndexOrHash:
 			add(1, "join %s keys=%d: index join (index %s) if outer rows <= %d, else hash join",
-				s.alias, len(joins), s.base.IndexOn(joins[0].newPos).Name, indexJoinThreshold)
-		case len(joins) > 0:
-			add(1, "hash join %s keys=%d", s.alias, len(joins))
+				alias, len(f.joins), f.index.Name, indexJoinThreshold)
+		case f.strategy == stratHashBuildInner && f.planned:
+			add(1, "hash join %s keys=%d build=%s est outer=%d inner=%d out=%d",
+				alias, len(f.joins), alias, f.estOuter, f.estInner, f.estOut)
+		case f.strategy == stratHashBuildInner:
+			add(1, "hash join %s keys=%d", alias, len(f.joins))
+		case f.strategy == stratHashBuildOuter:
+			add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d",
+				alias, len(f.joins), f.estOuter, f.estInner, f.estOut)
+		case f.planned:
+			add(1, "nested-loop join %s est out=%d", alias, f.estOut)
 		default:
-			add(1, "nested-loop join %s", s.alias)
+			add(1, "nested-loop join %s", alias)
 		}
-		layout = layout.concat(layoutFor(s.alias, s.schema))
-		joinedAliases[strings.ToLower(s.alias)] = true
+		if f.fused {
+			add(2, "build: %s", describeScan(f.scan))
+			add(2, "probe: %s (streamed)", first)
+		}
 	}
-	if len(pendingMulti) > 0 {
-		add(1, "filter residual=%d conjuncts", len(pendingMulti))
+	if len(p.residual) > 0 {
+		add(1, "filter residual=%d conjuncts", len(p.residual))
 	}
 	explainProject(stmt, add)
 	return lines, nil
+}
+
+// describeScan renders one planned scan.
+func describeScan(sc *scanPlan) string {
+	kind := "table"
+	if sc.src.base == nil {
+		kind = "virtual"
+	}
+	d := fmt.Sprintf("scan %s (%s)", sc.src.alias, kind)
+	if sc.eqIndex != nil {
+		d = fmt.Sprintf("index scan %s (index %s)", sc.src.alias, sc.eqIndex.Name)
+	}
+	if len(sc.bounds) > 0 {
+		d += fmt.Sprintf(" bounds=%d", len(sc.bounds))
+	}
+	if sc.filter != nil {
+		d += fmt.Sprintf(" filter=%d conjuncts", len(sc.conjuncts))
+	}
+	if sc.est.Planned {
+		d += fmt.Sprintf(" est=%d", sc.est.OutRows)
+	}
+	if sc.access == accessBatch {
+		d += " access=colscan"
+	}
+	return d
 }
 
 func explainProject(stmt *SelectStmt, add func(int, string, ...any)) {

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"testing"
 
 	"archis/internal/relstore"
@@ -40,6 +41,6 @@ func FuzzParse(f *testing.F) {
 		en := New(relstore.NewDatabase())
 		en.MustExec(`create table t (a INT, b VARCHAR, c DATE)`)
 		en.MustExec(`insert into t values (1, 'x', '1990-06-01'), (2, 'y', '1992-06-01')`)
-		_, _ = en.ExecStmt(sel) // must not panic
+		_, _ = en.execStmt(context.Background(), sel, nil, nil) // must not panic
 	})
 }

@@ -1,22 +1,26 @@
 package sqlengine
 
-// Hash-join executors on the zero-copy path (DESIGN.md §8.2). The
-// build side indexes borrowed inner rows by their appendKey encoding;
-// probes encode outer keys into a reusable scratch buffer, so a probe
+// Join operators on the zero-copy path (DESIGN.md §8.2). A hash
+// join's build side indexes borrowed rows by their appendKey encoding;
+// probes encode keys into a reusable scratch buffer, so a probe
 // allocates nothing for non-matching rows (map lookups keyed on
 // string(scratch) do not copy the bytes) and materializes only the
-// combined output row on a match. When the statement's first join has
-// a morsel-eligible outer scan, the probe fans out across the scan
-// worker pool (hashJoinFirst / probeMorsels).
+// combined output row on a match. The build-inner join probes through
+// the one drain, so a fused first fold fans its driving scan out over
+// page morsels like any other scan.
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"archis/internal/obs"
 	"archis/internal/relstore"
 )
+
+// indexJoinThreshold: below this many outer rows, an index
+// nested-loop join beats building a hash table over the (possibly
+// huge) inner table — the Q1/Q3 "single object" shape. It applies to
+// the planner-off rule (stratIndexOrHash).
+const indexJoinThreshold = 4096
 
 // joinTable is the build side of a hash join: bucket indexes keyed by
 // the encoded join key. One string key is allocated per distinct key
@@ -73,236 +77,92 @@ func (jt *joinTable) probe(o relstore.Row, joins []equiJoin, sc *probeScratch, o
 		return out, true
 	}
 	for _, m := range jt.buckets[b] {
-		combined := make(relstore.Row, 0, len(o)+len(m))
-		combined = append(combined, o...)
-		combined = append(combined, m...)
-		out = append(out, combined)
+		out = append(out, concatRow(o, m))
 	}
 	return out, true
 }
 
 // setFoldEst annotates a join span with the planner's estimates.
-func setFoldEst(sp *obs.Span, fp *foldPlan) {
-	if sp == nil || fp == nil {
+func setFoldEst(sp *obs.Span, f *foldPlan) {
+	if !f.planned {
 		return
 	}
-	sp.SetInt("est_outer", int64(fp.estOuter))
-	sp.SetInt("est_inner", int64(fp.estInner))
-	sp.SetInt("est_out", int64(fp.estOut))
+	sp.SetInt("est_outer", int64(f.estOuter))
+	sp.SetInt("est_inner", int64(f.estInner))
+	sp.SetInt("est_out", int64(f.estOut))
 }
 
-// hashJoin folds source s into already-materialized outer rows,
-// building on the inner side (the planner picks this variant when the
-// inner input is the smaller estimate; hashJoinBuildOuter is its
-// mirror).
-func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+// hashJoin builds a hash table over the folded source's rows and
+// probes it with the outer input: the morsels of the driving scan drv
+// when the fold is fused, else (drv nil) the materialized rows as one
+// morsel. The probe runs through the drain, so output order is the
+// outer input's order either way.
+func (en *Engine) hashJoin(ctx context.Context, drv *scanPlan, rows []relstore.Row, f *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
 	bs := sp.Child("join:hash-build")
-	bs.SetAttr("table", s.alias)
+	bs.SetAttr("table", f.scan.src.alias)
 	bs.SetAttr("side", "inner")
-	setFoldEst(bs, fp)
-	inner, err := en.scanOne(ctx, s, singles, sources)
+	setFoldEst(bs, f)
+	inner, err := en.scanRows(ctx, f.scan)
 	if err != nil {
+		bs.End()
 		return nil, err
 	}
-	jt := buildJoinTable(inner, joins)
+	jt := buildJoinTable(inner, f.joins)
 	bs.AddRows(int64(len(inner)), 0)
 	bs.SetInt("buckets", int64(len(jt.buckets)))
 	bs.End()
-	ps := sp.Child("join:hash-probe")
-	cc := newCancelProbe(ctx)
-	sc := newProbeScratch(joins)
-	var out []relstore.Row
-	var probed int64
-	for _, o := range outer {
-		if cc.tick() {
-			return nil, cc.err()
-		}
-		var ok bool
-		out, ok = jt.probe(o, joins, sc, out)
-		if ok {
-			probed++
-		}
-	}
-	en.DB.AddJoinRows(probed, int64(len(out)))
-	ps.AddRows(probed, int64(len(out)))
-	ps.End()
-	return out, nil
-}
-
-// hashJoinFirst fuses the statement's initial table scan into the
-// probe side of its first hash join: outer rows stream from the
-// borrow scan straight into the probe with no intermediate []Row, and
-// when the outer scan is morsel-eligible the probe fans out over the
-// scan worker pool. Called when the fold is a build-on-inner hash
-// join: planner-off, when the inner side has no index on the leading
-// key; planner-on, when the cost model picked the inner build side.
-func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
-	bs := sp.Child("join:hash-build")
-	bs.SetAttr("table", s.alias)
-	bs.SetAttr("side", "inner")
-	setFoldEst(bs, fp)
-	inner, err := en.scanOne(ctx, s, singles, sources)
-	if err != nil {
-		return nil, err
-	}
-	jt := buildJoinTable(inner, joins)
-	bs.AddRows(int64(len(inner)), 0)
-	bs.SetInt("buckets", int64(len(jt.buckets)))
-	bs.End()
-	plan, err := en.planScan(outer, conjuncts, sources)
-	if err != nil {
-		return nil, err
-	}
-
-	if workers := en.scanWorkers(); workers > 1 && plan.eqIndex == nil {
-		if ms, ok := outer.morselSource(); ok {
-			morsels, err := ms.ScanMorsels(plan.bounds)
-			if err != nil {
-				return nil, err
-			}
-			if len(morsels) > 1 {
-				ps := sp.Child("join:hash-probe")
-				ps.SetAttr("table", outer.alias)
-				ps.SetInt("workers", int64(workers))
-				ps.SetInt("morsels", int64(len(morsels)))
-				out, err := en.probeMorsels(ctx, morsels, plan, jt, joins, workers, ps)
-				ps.End()
-				return out, err
-			}
-		}
-	}
 
 	ps := sp.Child("join:hash-probe")
-	ps.SetAttr("table", outer.alias)
-	sc := newProbeScratch(joins)
-	var out []relstore.Row
-	var probed int64
-	err = en.runScanPlan(ctx, outer, plan, func(row relstore.Row) (bool, error) {
-		var ok bool
-		out, ok = jt.probe(row, joins, sc, out)
-		if ok {
-			probed++
+	defer ps.End()
+	outer, workers := []morsel{{rows: rows}}, 1
+	if drv != nil {
+		ps.SetAttr("table", drv.src.alias)
+		ps.SetAttr("access", drv.accessLabel())
+		if outer, err = en.morsels(drv); err != nil {
+			return nil, err
 		}
-		return true, nil
+		workers = min(drv.workers, len(outer))
+	}
+	if workers > 1 {
+		ps.SetInt("workers", int64(workers))
+		ps.SetInt("morsels", int64(len(outer)))
+	}
+	parts, err := en.drain(ctx, outer, workers, func() *sink {
+		return &sink{jt: jt, joins: f.joins, sc: newProbeScratch(f.joins)}
 	})
 	if err != nil {
 		return nil, err
 	}
-	en.DB.AddJoinRows(probed, int64(len(out)))
-	ps.AddRows(probed, int64(len(out)))
-	ps.End()
-	return out, nil
-}
-
-// probeMorsels fans the probe scan across the worker pool. The build
-// table is shared read-only; each worker owns its scratch and whole
-// morsels, and per-morsel outputs concatenated in morsel order
-// reproduce the serial output order exactly (the same argument as
-// execSingleParallel).
-func (en *Engine) probeMorsels(ctx context.Context, morsels []relstore.MorselFunc, plan *scanPlan, jt *joinTable, joins []equiJoin, workers int, sp *obs.Span) ([]relstore.Row, error) {
-	outs := make([][]relstore.Row, len(morsels))
-	errs := make([]error, len(morsels))
-	var probed atomic.Int64
-	var next atomic.Int64
-	var failed atomic.Bool
-	if workers > len(morsels) {
-		workers = len(morsels)
+	out, err := merge(parts)
+	if err != nil {
+		return nil, err
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker probe: the row counter is unsynchronized.
-			cc := newCancelProbe(ctx)
-			sc := newProbeScratch(joins)
-			var n int64
-			defer func() { probed.Add(n) }()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(morsels) || failed.Load() {
-					return
-				}
-				if cc.check() {
-					errs[i] = cc.err()
-					failed.Store(true)
-					return
-				}
-				var rowErr error
-				_, err := morsels[i](true, func(row relstore.Row) bool {
-					if cc.tick() {
-						rowErr = cc.err()
-						return false
-					}
-					if plan.filter != nil {
-						v, err := plan.filter(row)
-						if err != nil {
-							rowErr = err
-							return false
-						}
-						if !v.AsBool() {
-							return true
-						}
-					}
-					var ok bool
-					outs[i], ok = jt.probe(row, joins, sc, outs[i])
-					if ok {
-						n++
-					}
-					return true
-				})
-				if err == nil {
-					err = rowErr
-				}
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Report the earliest morsel's error, matching the serial scan.
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]relstore.Row, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	en.DB.AddJoinRows(probed.Load(), int64(total))
-	sp.AddRows(probed.Load(), int64(total))
-	return out, nil
+	en.DB.AddJoinRows(out.probed, int64(len(out.rows)))
+	ps.AddRows(out.probed, int64(len(out.rows)))
+	return out.rows, nil
 }
 
 // hashJoinBuildOuter is hashJoin with the build side flipped: the
 // planner picks it when the already-materialized outer input is the
 // smaller estimate, so the hash table is built over the outer rows
-// and the inner scan streams through it — fixing the old executor's
+// and the inner rows stream through it — fixing the old executor's
 // fixed-build-side misplan (a 17-row outer no longer pays for hashing
 // a million-row inner). Matching inner rows are bucketed per outer
 // row and emitted outer-major afterwards, so the output order is
-// byte-identical to the build-inner executor's.
-func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+// byte-identical to the build-inner join's.
+func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, f *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
 	bs := sp.Child("join:hash-build")
-	bs.SetAttr("table", s.alias)
+	bs.SetAttr("table", f.scan.src.alias)
 	bs.SetAttr("side", "outer")
-	setFoldEst(bs, fp)
+	setFoldEst(bs, f)
 	// Build: outer row positions keyed by encoded join key. Rows with
 	// a NULL key component can never match, so they are left out.
 	idx := make(map[string][]int, len(outer))
 	var enc []byte
-	key := make([]relstore.Value, len(joins))
+	key := make([]relstore.Value, len(f.joins))
 	for i, o := range outer {
 		null := false
-		for k, j := range joins {
+		for k, j := range f.joins {
 			key[k] = o[j.boundPos]
 			if key[k].IsNull() {
 				null = true
@@ -319,22 +179,28 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 	bs.SetInt("buckets", int64(len(idx)))
 	bs.End()
 
-	plan, err := en.planScan(s, singles, sources)
+	ps := sp.Child("join:hash-probe")
+	defer ps.End()
+	ps.SetAttr("table", f.scan.src.alias)
+	inner, err := en.scanRows(ctx, f.scan)
 	if err != nil {
 		return nil, err
 	}
-	ps := sp.Child("join:hash-probe")
-	ps.SetAttr("table", s.alias)
 	// matches[i] collects the inner rows joining outer row i; inner
 	// rows are borrowed, which is safe to retain for the statement.
 	matches := make([][]relstore.Row, len(outer))
 	var probed, combined int64
-	err = en.runScanPlan(ctx, s, plan, func(row relstore.Row) (bool, error) {
-		for k, j := range joins {
+	for _, row := range inner {
+		null := false
+		for k, j := range f.joins {
 			key[k] = row[j.newPos]
 			if key[k].IsNull() {
-				return true, nil
+				null = true
+				break
 			}
+		}
+		if null {
+			continue
 		}
 		probed++
 		enc = appendKey(enc[:0], key)
@@ -342,22 +208,101 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 			matches[oi] = append(matches[oi], row)
 			combined++
 		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	out := make([]relstore.Row, 0, combined)
 	for i, o := range outer {
 		for _, m := range matches[i] {
-			c := make(relstore.Row, 0, len(o)+len(m))
-			c = append(c, o...)
-			c = append(c, m...)
-			out = append(out, c)
+			out = append(out, concatRow(o, m))
 		}
 	}
 	en.DB.AddJoinRows(probed, int64(len(out)))
 	ps.AddRows(probed, int64(len(out)))
-	ps.End()
 	return out, nil
+}
+
+// indexJoin is the index nested-loop join on the first equi key;
+// remaining keys and the folded source's own filter apply after the
+// probe.
+func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, f *foldPlan) ([]relstore.Row, error) {
+	cc := newCancelProbe(ctx)
+	s := f.scan.src
+	first := f.joins[0]
+	var out []relstore.Row
+	for _, o := range outer {
+		if cc.tick() {
+			return nil, cc.err()
+		}
+		probe := o[first.boundPos]
+		if probe.IsNull() {
+			continue
+		}
+		pv, err := coerce(probe, s.schema.Columns[first.newPos].Type)
+		if err != nil {
+			continue
+		}
+		for _, rid := range f.index.Lookup([]relstore.Value{pv}) {
+			row, live, err := s.base.GetBorrow(rid)
+			if err != nil {
+				return nil, err
+			}
+			if !live {
+				continue
+			}
+			match := true
+			for _, j := range f.joins[1:] {
+				if compareValues(o[j.boundPos], row[j.newPos]) != 0 || row[j.newPos].IsNull() {
+					match = false
+					break
+				}
+			}
+			if !match {
+				continue
+			}
+			if f.scan.filter != nil {
+				v, err := f.scan.filter(row)
+				if err != nil {
+					return nil, err
+				}
+				if !v.AsBool() {
+					continue
+				}
+			}
+			out = append(out, concatRow(o, row))
+		}
+	}
+	return out, nil
+}
+
+// nestedLoopJoin is the Cartesian fold: every outer row with every
+// row of the folded source's scan.
+func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, f *foldPlan) ([]relstore.Row, error) {
+	inner, err := en.scanRows(ctx, f.scan)
+	if err != nil {
+		return nil, err
+	}
+	cc := newCancelProbe(ctx)
+	// Cap the up-front allocation: a cross product's full extent can
+	// be enormous, and reserving it all before the first probe would
+	// delay cancellation by the whole (possibly huge) zeroing.
+	capHint := len(outer) * len(inner)
+	if capHint > 1<<16 {
+		capHint = 1 << 16
+	}
+	out := make([]relstore.Row, 0, capHint)
+	for _, o := range outer {
+		for _, m := range inner {
+			if cc.tick() {
+				return nil, cc.err()
+			}
+			out = append(out, concatRow(o, m))
+		}
+	}
+	return out, nil
+}
+
+// concatRow materializes one joined row.
+func concatRow(o, m relstore.Row) relstore.Row {
+	c := make(relstore.Row, 0, len(o)+len(m))
+	c = append(c, o...)
+	return append(c, m...)
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"archis/internal/relstore"
@@ -108,7 +109,7 @@ func TestDistinctAdversarialKeys(t *testing.T) {
 
 // buildJoinDB returns an engine with two sealed multi-page tables
 // shaped for a non-indexed hash join (no index on the join key of the
-// inner side, so the fused hashJoinFirst path runs).
+// inner side, so a build-inner fold can fuse with the outer scan).
 func buildJoinDB(t testing.TB, rows int) *Engine {
 	t.Helper()
 	en := New(relstore.NewDatabase())
@@ -137,39 +138,53 @@ func buildJoinDB(t testing.TB, rows int) *Engine {
 	return en
 }
 
-// TestHashJoinParallelMatchesSerial checks the fused morsel-parallel
-// probe returns byte-identical results (same rows, same order) as the
-// serial executor, including join stats accounting.
+// TestHashJoinParallelMatchesSerial checks every hash-join shape at
+// Workers 1, 2 and 4 with the columnar path on and off: results must
+// be byte-identical to Workers=1 (same rows, same order) and the join
+// stats must account every probe row and output row. With the planner
+// off the first fold is a fused build-inner probe streaming the outer
+// scan — over page morsels for big, and for vbig over a batch-capable
+// virtual source.
 func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	en := buildJoinDB(t, 4000)
-	q := `select big.id, big.val, small.label from big, small where big.grp = small.grp and big.val >= 300 order by big.id`
-	en.Workers = 1
-	serial, err := en.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	en.DB.ResetStats()
-	en.Workers = 4
-	par, err := en.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Rows) != len(par.Rows) {
-		t.Fatalf("serial %d rows, parallel %d rows", len(serial.Rows), len(par.Rows))
-	}
-	for i := range serial.Rows {
-		for j := range serial.Rows[i] {
-			if compareValues(serial.Rows[i][j], par.Rows[i][j]) != 0 {
-				t.Fatalf("row %d col %d differs: %v vs %v", i, j, serial.Rows[i][j], par.Rows[i][j])
+	big, _ := en.DB.Table("big")
+	en.RegisterVirtual("vbig", batchTable{big})
+	const q = `select big.id, big.val, small.label from big, small where big.grp = small.grp and big.val >= 300`
+	for _, tc := range []struct {
+		planner bool
+		q       string
+	}{
+		{true, q + ` order by big.id`},
+		{false, q},
+		{false, strings.ReplaceAll(q, "big", "vbig")},
+	} {
+		en.Planner = tc.planner
+		if plan := explainText(t, en, tc.q); !tc.planner && !strings.Contains(plan, "(streamed)") {
+			t.Fatalf("planner off should fuse the first fold:\n%s", plan)
+		}
+		want := ""
+		for _, columnar := range []bool{true, false} {
+			for _, w := range []int{1, 2, 4} {
+				en.Workers, en.Columnar = w, columnar
+				en.DB.ResetStats()
+				res, err := en.Exec(tc.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := en.DB.Stats()
+				if st.JoinRowsBorrowed == 0 {
+					t.Errorf("workers=%d: join did not count borrowed probe rows", w)
+				}
+				if st.JoinRowsCopied != int64(len(res.Rows)) {
+					t.Errorf("workers=%d: JoinRowsCopied=%d, want %d (one combined row per output row)", w, st.JoinRowsCopied, len(res.Rows))
+				}
+				if got := dump(res); want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("planner=%v workers=%d columnar=%v diverged from workers=1 on %s", tc.planner, w, columnar, tc.q)
+				}
 			}
 		}
-	}
-	st := en.DB.Stats()
-	if st.JoinRowsBorrowed == 0 {
-		t.Error("parallel join did not count borrowed probe rows")
-	}
-	if st.JoinRowsCopied != int64(len(par.Rows)) {
-		t.Errorf("JoinRowsCopied=%d, want %d (one combined row per output row)", st.JoinRowsCopied, len(par.Rows))
 	}
 }
 

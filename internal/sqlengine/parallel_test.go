@@ -39,7 +39,75 @@ func newParallelDB(t testing.TB, rows int) (*Engine, *relstore.Database) {
 	if tbl.PageCount() < 2 {
 		t.Fatalf("test table has %d pages, want several", tbl.PageCount())
 	}
+	en.RegisterVirtual("vt", batchTable{tbl})
+	en.RegisterAggregate("firstv", newFirstV)
 	return en, db
+}
+
+// firstV is a deliberately non-mergeable, order-sensitive aggregate:
+// the first non-NULL value added. It pins that a statement using it
+// drains inline into one accumulator at any worker count.
+type firstV struct {
+	v   relstore.Value
+	set bool
+}
+
+func newFirstV() AggState { return &firstV{v: relstore.Null} }
+
+func (f *firstV) Add(args []relstore.Value) error {
+	if !f.set && !args[0].IsNull() {
+		f.v, f.set = args[0], true
+	}
+	return nil
+}
+
+func (f *firstV) Result() relstore.Value { return f.v }
+
+// batchTable exposes a base table as a batch-capable virtual source:
+// one column batch per page morsel, INT and VARCHAR columns only, so
+// the vectorized drain reads exactly the rows the row path reads.
+type batchTable struct{ t *relstore.Table }
+
+func (b batchTable) Schema() relstore.Schema { return b.t.Schema() }
+
+func (b batchTable) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
+	return b.t.ScanBorrow(bounds, func(_ relstore.RID, r relstore.Row) bool { return fn(r) })
+}
+
+func (b batchTable) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
+	return b.t.ScanMorsels(bounds)
+}
+
+func (b batchTable) ScanBatches(bounds []relstore.ZoneBound, needed []bool) ([]relstore.BatchFunc, error) {
+	ms, err := b.t.ScanMorsels(bounds)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]relstore.BatchFunc, len(ms))
+	for i, m := range ms {
+		out[i] = func(fn func(*relstore.ColBatch) bool) (bool, error) {
+			var rows []relstore.Row
+			if _, err := m(true, func(r relstore.Row) bool { rows = append(rows, r); return true }); err != nil {
+				return false, err
+			}
+			cb := &relstore.ColBatch{N: len(rows), Cols: make([]relstore.ColVec, len(b.Schema().Columns))}
+			for c := range cb.Cols {
+				if needed != nil && !needed[c] {
+					continue
+				}
+				v := &cb.Cols[c]
+				v.Present = true
+				v.Kinds = make([]relstore.Type, len(rows))
+				v.I = make([]int64, len(rows))
+				v.S = make([]string, len(rows))
+				for i, r := range rows {
+					v.Kinds[i], v.I[i], v.S[i] = r[c].Kind, r[c].I, r[c].S
+				}
+			}
+			return !fn(cb), nil
+		}
+	}
+	return out, nil
 }
 
 // dump renders a result for exact comparison: column names plus every
@@ -59,24 +127,29 @@ func dump(res *Result) string {
 	return sb.String()
 }
 
-// runBoth executes sql at Workers=1 and Workers=8 and fails unless
-// the results are byte-identical (including row order: parallel
-// execution merges morsel outputs in index order, which is defined to
-// equal serial scan order).
+// runBoth executes sql at Workers 1, 2 and 4, each with the columnar
+// path on and off, and fails unless every result is byte-identical
+// to Workers=1 with columnar on (including row order: a fanned-out
+// drain merges morsel outputs in index order, which is defined to
+// equal the inline drain's order).
 func runBoth(t *testing.T, en *Engine, sql string) {
 	t.Helper()
-	en.Workers = 1
-	serial, err := en.Exec(sql)
-	if err != nil {
-		t.Fatalf("serial %q: %v", sql, err)
-	}
-	en.Workers = 8
-	parallel, err := en.Exec(sql)
-	if err != nil {
-		t.Fatalf("parallel %q: %v", sql, err)
-	}
-	if ds, dp := dump(serial), dump(parallel); ds != dp {
-		t.Errorf("divergence on %q:\nserial:\n%s\nparallel:\n%s", sql, ds, dp)
+	defer func(w int, c bool) { en.Workers, en.Columnar = w, c }(en.Workers, en.Columnar)
+	var want string
+	for _, columnar := range []bool{true, false} {
+		for _, w := range []int{1, 2, 4} {
+			en.Workers, en.Columnar = w, columnar
+			res, err := en.Exec(sql)
+			if err != nil {
+				t.Fatalf("workers=%d columnar=%v %q: %v", w, columnar, sql, err)
+			}
+			got := dump(res)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("divergence at workers=%d columnar=%v on %q:\nworkers=1:\n%s\ngot:\n%s", w, columnar, sql, want, got)
+			}
+		}
 	}
 }
 
@@ -109,12 +182,14 @@ func genFilter(r *rand.Rand) string {
 	return strings.Join(parts, " and ")
 }
 
-// TestParallelRandomizedDifferential generates filter and aggregate
-// statements and asserts Workers=1 and Workers=8 return identical
-// results. Run under -race this also stresses the worker pool.
-func TestParallelRandomizedDifferential(t *testing.T) {
-	en, _ := newParallelDB(t, 3000)
+// parallelCorpus is the seeded statement corpus of the parallel
+// differential: filter, aggregate, grouping, DISTINCT and ORDER BY
+// shapes over pt, half of them again over vt (the same rows through
+// the vectorized drain), plus a non-mergeable aggregate and scans
+// zone-pruned to at most one morsel.
+func parallelCorpus() []string {
 	r := rand.New(rand.NewSource(42))
+	var out []string
 	for i := 0; i < 40; i++ {
 		where := genFilter(r)
 		stmts := []string{
@@ -125,8 +200,38 @@ func TestParallelRandomizedDifferential(t *testing.T) {
 			fmt.Sprintf(`select distinct grp from pt where %s`, where),
 			fmt.Sprintf(`select id from pt where %s order by v, id limit %d`, where, 1+r.Intn(20)),
 		}
-		runBoth(t, en, stmts[i%len(stmts)])
-		runBoth(t, en, stmts[(i+1)%len(stmts)])
+		a, b := stmts[i%len(stmts)], stmts[(i+1)%len(stmts)]
+		out = append(out, a, b)
+		if i%2 == 0 {
+			out = append(out, strings.Replace(a, " from pt", " from vt", 1))
+		}
+	}
+	return append(out,
+		`select grp, firstv(v), count(*) from pt where v > 500 group by grp`,
+		`select firstv(id), max(v) from vt where w < 40`,
+		`select id, v from pt where id >= 2995`,
+		`select id, v, grp from vt where id >= 2995 and v > 10`,
+		`select count(*), firstv(grp) from vt where id >= 2995`,
+	)
+}
+
+// TestParallelRandomizedDifferential runs the parallel corpus at every
+// worker count with the columnar path on and off and asserts
+// byte-identical results. Run under -race this also stresses the
+// worker pool.
+func TestParallelRandomizedDifferential(t *testing.T) {
+	en, db := newParallelDB(t, 3000)
+	for _, sql := range parallelCorpus() {
+		runBoth(t, en, sql)
+	}
+	// The pruned inputs really reach the drain as at most one morsel.
+	en.Workers = 4
+	for _, sql := range []string{`select id, v from pt where id >= 2995`, `select count(*) from vt where id >= 2995`} {
+		db.ResetStats()
+		en.MustExec(sql)
+		if m := db.Stats().Morsels; m > 1 {
+			t.Errorf("%s: %d morsels, want at most 1", sql, m)
+		}
 	}
 }
 

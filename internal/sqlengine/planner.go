@@ -13,7 +13,7 @@ package sqlengine
 //
 // Every decision is deterministic: estimates derive only from table
 // state, ties break toward declaration/FROM order, and EXPLAIN renders
-// plans from the same code paths the executor runs. Engine.Planner
+// the very plan the executor runs (plan.go). Engine.Planner
 // (default on) falls back to the legacy fixed heuristics when false,
 // which is what the planner-on/off differential tests compare against.
 
@@ -59,10 +59,8 @@ const (
 // table access; zero-valued (Planned=false) when the planner is off.
 type planEstimate struct {
 	Planned    bool
-	Access     string // "scan" or "index"
-	TableRows  int    // live rows in the source
-	AccessRows int    // rows the chosen access path touches
-	OutRows    int    // rows surviving all conjuncts (>= 1)
+	AccessRows int // rows the chosen access path touches
+	OutRows    int // rows surviving all conjuncts (>= 1)
 }
 
 // sourceEstimate resolves scan statistics for a source.
@@ -135,9 +133,9 @@ func (en *Engine) chooseAccess(s *source, p *scanPlan, cands []eqCandidate, conj
 	}
 
 	scanCost := est.Pages*pageCost + est.Rows*rowCost
-	access, accessRows := "scan", est.Rows
+	accessRows := est.Rows
 	if best >= 0 && bestMatches*probeCost < scanCost {
-		access, accessRows = "index", bestMatches
+		accessRows = bestMatches
 		p.eqVal, p.eqIndex = cands[best].val, cands[best].ix
 	}
 
@@ -163,13 +161,7 @@ func (en *Engine) chooseAccess(s *source, p *scanPlan, cands []eqCandidate, conj
 	if out < 1 {
 		out = 1
 	}
-	p.est = planEstimate{
-		Planned:    true,
-		Access:     access,
-		TableRows:  est.TotalRows,
-		AccessRows: accessRows,
-		OutRows:    out,
-	}
+	p.est = planEstimate{Planned: true, AccessRows: accessRows, OutRows: out}
 }
 
 // indexMatchesInv returns the denominator of an eq conjunct's
@@ -196,32 +188,15 @@ type conjunctStats struct {
 type joinStrategy uint8
 
 const (
-	// stratLegacy defers to the executor's pre-planner runtime
-	// heuristics (planner off).
-	stratLegacy joinStrategy = iota
+	stratNested joinStrategy = iota
 	stratIndex
 	stratHashBuildInner
 	stratHashBuildOuter
-	stratNested
+	// stratIndexOrHash is the planner-off rule: an index join when the
+	// outer input has at most indexJoinThreshold rows at run time, else
+	// a build-inner hash join.
+	stratIndexOrHash
 )
-
-// foldPlan is the planned strategy for folding one source into the
-// accumulated join result.
-type foldPlan struct {
-	strategy joinStrategy
-	index    *relstore.Index // stratIndex: the probe index
-	estOuter int             // estimated rows entering the fold
-	estInner int             // estimated rows of the folded source
-	estOut   int             // estimated rows leaving the fold
-}
-
-// joinPlan is the planned multi-source execution: the fold order
-// (indices into the FROM-order source list) and a strategy per fold.
-type joinPlan struct {
-	order    []int
-	folds    []foldPlan
-	estFirst int // estimated output rows of the driving scan
-}
 
 func capEst(v int64) int {
 	if v > estCap {
@@ -233,21 +208,12 @@ func capEst(v int64) int {
 	return int(v)
 }
 
-// planJoins orders the sources greedily by estimated cardinality —
+// joinOrder orders the sources greedily by estimated cardinality —
 // smallest filtered source first, then the smallest equi-connected
-// source, Cartesian folds last — and picks a strategy per fold. All
-// ties break toward FROM order, so the plan is deterministic.
-func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi []Expr) (*joinPlan, error) {
+// source, Cartesian folds last. All ties break toward FROM order, so
+// the order is deterministic.
+func joinOrder(sources []*source, scans []*scanPlan, multi []Expr) []int {
 	n := len(sources)
-	ests := make([]planEstimate, n)
-	for i, s := range sources {
-		p, err := en.planScan(s, perAlias[strings.ToLower(s.alias)], sources)
-		if err != nil {
-			return nil, err
-		}
-		ests[i] = p.est
-	}
-
 	// Equi-join connectivity between aliases, from the multi-alias
 	// conjuncts.
 	edges := make(map[string]map[string]bool)
@@ -271,12 +237,12 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 		addEdge(ra, la)
 	}
 
-	// Greedy ordering.
+	rows := func(i int) int { return scans[i].est.OutRows }
 	used := make([]bool, n)
 	order := make([]int, 0, n)
 	start := 0
 	for i := 1; i < n; i++ {
-		if ests[i].OutRows < ests[start].OutRows {
+		if rows(i) < rows(start) {
 			start = i
 		}
 	}
@@ -301,7 +267,7 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 			switch {
 			case best < 0,
 				conn && !bestConn,
-				conn == bestConn && ests[i].OutRows < ests[best].OutRows:
+				conn == bestConn && rows(i) < rows(best):
 				best, bestConn = i, conn
 			}
 		}
@@ -309,60 +275,62 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 		used[best] = true
 		bound[strings.ToLower(sources[best].alias)] = true
 	}
+	return order
+}
 
-	// Simulate the folds in the planned order to pick strategies.
-	plan := &joinPlan{order: order, estFirst: ests[start].OutRows}
-	first := sources[start]
-	layout := layoutFor(first.alias, first.schema)
-	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
-	pending := multi
-	estOuter := ests[start].OutRows
-	for _, idx := range order[1:] {
-		s := sources[idx]
-		joins, rest := en.equiJoinConds(pending, layout, joinedAliases, s, sources)
-		pending = rest
-		estInner := ests[idx].OutRows
-		fp := foldPlan{estOuter: estOuter, estInner: estInner}
-		switch {
-		case len(joins) == 0:
-			fp.strategy = stratNested
-			fp.estOut = capEst(int64(estOuter) * int64(estInner))
-		default:
-			// Join cardinality: outer x inner over the join key's
-			// distinct count (inner index when available, a fixed
-			// guess otherwise).
-			distinct := estInner / 10
-			var ix *relstore.Index
-			if s.base != nil {
-				ix = s.base.IndexOn(joins[0].newPos)
-			}
-			if ix != nil && ix.Len() > 0 {
-				distinct = ix.Len()
-			}
-			if distinct < 1 {
-				distinct = 1
-			}
-			fp.estOut = capEst(int64(estOuter) * int64(estInner) / int64(distinct))
-
-			innerScan := ests[idx].AccessRows
-			switch {
-			case ix != nil && int64(estOuter)*probeCost < int64(innerScan)+int64(estOuter):
-				// Index nested-loop beats building a hash table over
-				// the inner side when the outer input is small.
-				fp.strategy = stratIndex
-				fp.index = ix
-			case estInner <= estOuter:
-				fp.strategy = stratHashBuildInner
-			default:
-				fp.strategy = stratHashBuildOuter
-			}
-		}
-		plan.folds = append(plan.folds, fp)
-		layout = layout.concat(layoutFor(s.alias, s.schema))
-		joinedAliases[strings.ToLower(s.alias)] = true
-		estOuter = fp.estOut
+// costFold picks the planner's strategy for folding f's source into an
+// outer input of estOuter estimated rows, and fills the estimates.
+func costFold(f *foldPlan, estOuter int) {
+	estInner := f.scan.est.OutRows
+	f.planned, f.estOuter, f.estInner = true, estOuter, estInner
+	if len(f.joins) == 0 {
+		f.strategy = stratNested
+		f.estOut = capEst(int64(estOuter) * int64(estInner))
+		return
 	}
-	return plan, nil
+	// Join cardinality: outer x inner over the join key's distinct
+	// count (inner index when available, a fixed guess otherwise).
+	distinct := estInner / 10
+	ix := f.innerIndex()
+	if ix != nil && ix.Len() > 0 {
+		distinct = ix.Len()
+	}
+	if distinct < 1 {
+		distinct = 1
+	}
+	f.estOut = capEst(int64(estOuter) * int64(estInner) / int64(distinct))
+	switch {
+	case ix != nil && int64(estOuter)*probeCost < int64(f.scan.est.AccessRows)+int64(estOuter):
+		// Index nested-loop beats building a hash table over the inner
+		// side when the outer input is small.
+		f.strategy, f.index = stratIndex, ix
+	case estInner <= estOuter:
+		f.strategy = stratHashBuildInner
+	default:
+		f.strategy = stratHashBuildOuter
+	}
+}
+
+// legacyFold applies the planner-off rules: an index join (below the
+// outer-row threshold) when the inner side has an index on the first
+// equi key, else a build-inner hash join, else a nested loop.
+func legacyFold(f *foldPlan) {
+	switch ix := f.innerIndex(); {
+	case len(f.joins) == 0:
+		f.strategy = stratNested
+	case ix != nil:
+		f.strategy, f.index = stratIndexOrHash, ix
+	default:
+		f.strategy = stratHashBuildInner
+	}
+}
+
+// innerIndex is the folded base table's index on the first equi key.
+func (f *foldPlan) innerIndex() *relstore.Index {
+	if len(f.joins) == 0 || f.scan.src.base == nil {
+		return nil
+	}
+	return f.scan.src.base.IndexOn(f.joins[0].newPos)
 }
 
 // singleAlias resolves e to the one alias it references, or "".

@@ -3,10 +3,12 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"archis/internal/obs"
 	"archis/internal/relstore"
 )
 
@@ -229,6 +231,22 @@ func TestPlannerBuildSide(t *testing.T) {
 	}
 }
 
+// TestUnknownAliasPredicateRejected: a conjunct qualified by an alias
+// no FROM entry declares must fail as an unknown column, never be
+// dropped from the plan (which would return unfiltered rows).
+func TestUnknownAliasPredicateRejected(t *testing.T) {
+	en := newJoinDB(t)
+	en.Workers = 1
+	for _, q := range []string{
+		`select count(*) from jsmall s where q.k = 1`,
+		`select count(*) from jsmall s, jmed m where s.k = m.k and q.k = 1`,
+	} {
+		if _, err := en.Exec(q); err == nil || !strings.Contains(err.Error(), "unknown column q.k") {
+			t.Errorf("%s: got %v, want an unknown-column error", q, err)
+		}
+	}
+}
+
 // TestPlannerIndexJoin: a tiny outer input probing a large indexed
 // inner must plan an index join, not a hash join.
 func TestPlannerIndexJoin(t *testing.T) {
@@ -264,41 +282,45 @@ func TestPlannerFusedBuildInner(t *testing.T) {
 	}
 }
 
-// TestPlannerDifferentialRandomized runs seeded random queries over
-// three tables with planner on and off and requires identical
-// answers. Queries carrying an ORDER BY over every projected column
-// must match byte for byte; the rest as multisets.
-func TestPlannerDifferentialRandomized(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	build := func() *Engine {
-		rr := rand.New(rand.NewSource(7))
-		en := New(relstore.NewDatabase())
-		en.MustExec(`create table p1 (k INT, a INT, s VARCHAR)`)
-		en.MustExec(`create table p2 (k INT, b INT)`)
-		en.MustExec(`create table p3 (k INT, c INT)`)
-		en.MustExec(`create index ix_p1_k on p1 (k)`)
-		en.MustExec(`create index ix_p2_k on p2 (k)`)
-		var rows []string
-		for i := 0; i < 60; i++ {
-			rows = append(rows, fmt.Sprintf("(%d, %d, 's%d')", rr.Intn(20), rr.Intn(10), rr.Intn(5)))
-		}
-		insertBatched(en, "p1", rows)
-		rows = rows[:0]
-		for i := 0; i < 45; i++ {
-			rows = append(rows, fmt.Sprintf("(%d, %d)", rr.Intn(20), rr.Intn(12)))
-		}
-		insertBatched(en, "p2", rows)
-		rows = rows[:0]
-		for i := 0; i < 30; i++ {
-			rows = append(rows, fmt.Sprintf("(%d, %d)", rr.Intn(20), rr.Intn(6)))
-		}
-		insertBatched(en, "p3", rows)
-		return en
+// newPlannerDB builds the planner differential's three tables: p1
+// and p2 indexed on the join key k, p3 not.
+func newPlannerDB() *Engine {
+	rr := rand.New(rand.NewSource(7))
+	en := New(relstore.NewDatabase())
+	en.MustExec(`create table p1 (k INT, a INT, s VARCHAR)`)
+	en.MustExec(`create table p2 (k INT, b INT)`)
+	en.MustExec(`create table p3 (k INT, c INT)`)
+	en.MustExec(`create index ix_p1_k on p1 (k)`)
+	en.MustExec(`create index ix_p2_k on p2 (k)`)
+	var rows []string
+	for i := 0; i < 60; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d, 's%d')", rr.Intn(20), rr.Intn(10), rr.Intn(5)))
 	}
-	on := build()
-	off := build()
-	off.Planner = false
+	insertBatched(en, "p1", rows)
+	rows = rows[:0]
+	for i := 0; i < 45; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d)", rr.Intn(20), rr.Intn(12)))
+	}
+	insertBatched(en, "p2", rows)
+	rows = rows[:0]
+	for i := 0; i < 30; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %d)", rr.Intn(20), rr.Intn(6)))
+	}
+	insertBatched(en, "p3", rows)
+	return en
+}
 
+// plannerQuery is one statement of the planner corpus; ordered means
+// it carries an ORDER BY over every projected column.
+type plannerQuery struct {
+	sql     string
+	ordered bool
+}
+
+// plannerCorpus generates the seeded random one- to three-table
+// statements of the planner differential.
+func plannerCorpus() []plannerQuery {
+	r := rand.New(rand.NewSource(42))
 	type tbl struct {
 		name  string
 		alias string
@@ -311,6 +333,7 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 	}
 	ops := []string{"=", ">", "<", ">=", "<="}
 
+	var out []plannerQuery
 	for qi := 0; qi < 80; qi++ {
 		n := 1 + r.Intn(3)
 		perm := r.Perm(3)[:n]
@@ -359,16 +382,143 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 		if ordered {
 			q += " order by " + strings.Join(cols, ", ")
 		}
+		out = append(out, plannerQuery{q, ordered})
+	}
+	return out
+}
 
-		got := queryStrings(t, on, q)
-		want := queryStrings(t, off, q)
-		if !ordered {
+// TestPlannerDifferentialRandomized runs the planner corpus with the
+// planner on and off and requires identical answers. Ordered queries
+// must match byte for byte; the rest as multisets.
+func TestPlannerDifferentialRandomized(t *testing.T) {
+	on := newPlannerDB()
+	off := newPlannerDB()
+	off.Planner = false
+	for qi, pq := range plannerCorpus() {
+		got := queryStrings(t, on, pq.sql)
+		want := queryStrings(t, off, pq.sql)
+		if !pq.ordered {
 			sort.Strings(got)
 			sort.Strings(want)
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Errorf("query %d: planner on/off answers differ\n  sql: %s\n  on:  %v\n  off: %v",
-				qi, q, got, want)
+				qi, pq.sql, got, want)
 		}
 	}
+}
+
+// TestExplainMatchesExecution: for every statement of the planner and
+// parallel corpora, at Workers 1 and 2 (and the planner corpus with
+// the planner on and off), the access paths, join strategies and
+// build sides EXPLAIN names must be the ones the executed span tree
+// records. Fan-out is not compared: EXPLAIN prints the configured
+// worker cap, the drain runs min(cap, morsels) workers.
+func TestExplainMatchesExecution(t *testing.T) {
+	pen, _ := newParallelDB(t, 3000)
+	var parallel []string
+	for _, q := range parallelCorpus() {
+		parallel = append(parallel, q)
+	}
+	var planner []string
+	for _, pq := range plannerCorpus() {
+		planner = append(planner, pq.sql)
+	}
+	on, off := newPlannerDB(), newPlannerDB()
+	off.Planner = false
+	for _, workers := range []int{1, 2} {
+		for _, c := range []struct {
+			en     *Engine
+			corpus []string
+		}{{pen, parallel}, {on, planner}, {off, planner}} {
+			c.en.Workers = workers
+			for _, sql := range c.corpus {
+				want := explainFacts(explainText(t, c.en, sql))
+				tr := obs.NewTracer("query")
+				if _, err := c.en.ExecTraced(sql, tr.Root()); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				got := traceFacts(tr.Finish(sql).Root, nil)
+				// The planner-off rule picks index or hash at run time.
+				for i, f := range got {
+					if alias, ok := strings.CutPrefix(f, "join "); ok {
+						a := strings.Fields(alias)[0]
+						if slices.Contains(want, "join "+a+" index-or-hash") {
+							got[i] = "join " + a + " index-or-hash"
+						}
+					}
+				}
+				sort.Strings(want)
+				sort.Strings(got)
+				if !slices.Equal(want, got) {
+					t.Errorf("workers=%d planner=%v: EXPLAIN and execution disagree on %s\n  explain: %v\n  trace:   %v",
+						workers, c.en.Planner, sql, want, got)
+				}
+			}
+		}
+	}
+}
+
+// explainFacts extracts the access path of every executed scan and
+// the strategy and build side of every join from EXPLAIN text. The
+// inner scans of joins run with no span of their own, so only the
+// driving scan, a single-source scan and a fused probe's streamed
+// scan count.
+func explainFacts(plan string) []string {
+	var facts []string
+	for _, line := range strings.Split(strings.TrimSpace(plan), "\n") {
+		l := strings.TrimSpace(line)
+		f := strings.Fields(l)
+		switch {
+		case strings.HasPrefix(l, "build: "):
+			inner := strings.TrimPrefix(strings.TrimPrefix(l, "build: "), "index ")
+			facts = append(facts, "join "+strings.Fields(inner)[1]+" hash inner")
+		case strings.HasPrefix(l, "probe: index scan "), strings.HasPrefix(l, "index scan "):
+			facts = append(facts, "scan "+strings.Fields(l[strings.Index(l, "index scan ")+len("index scan "):])[0]+" index")
+		case strings.HasPrefix(l, "probe: scan "), strings.HasPrefix(l, "scan "):
+			access := "scan"
+			if strings.Contains(l, "access=colscan") {
+				access = "colscan"
+			}
+			facts = append(facts, "scan "+strings.Fields(l[strings.Index(l, "scan ")+len("scan "):])[0]+" "+access)
+		case strings.HasPrefix(l, "index join "):
+			facts = append(facts, "join "+f[2]+" index")
+		case strings.HasPrefix(l, "hash join keys="):
+			// Fused: the build line below names the inner side.
+		case strings.HasPrefix(l, "hash join "):
+			side := "inner"
+			if strings.Contains(l, "build=outer") {
+				side = "outer"
+			}
+			facts = append(facts, "join "+f[2]+" hash "+side)
+		case strings.HasPrefix(l, "nested-loop join "):
+			facts = append(facts, "join "+f[2]+" nested")
+		case strings.HasPrefix(l, "join "):
+			facts = append(facts, "join "+f[1]+" index-or-hash")
+		}
+	}
+	return facts
+}
+
+// traceFacts extracts the same facts from an executed span tree.
+func traceFacts(n *obs.TraceNode, facts []string) []string {
+	table := n.Attr("table")
+	switch n.Name {
+	case "scan", "morsel-fanout":
+		facts = append(facts, "scan "+table+" "+n.Attr("access"))
+	case "join:hash-probe":
+		if a := n.Attr("access"); a != "" {
+			facts = append(facts, "scan "+table+" "+a)
+		}
+	case "join:hash-build":
+		facts = append(facts, "join "+table+" hash "+n.Attr("side"))
+	case "join:index":
+		facts = append(facts, "join "+table+" index")
+	case "join:nested-loop":
+		facts = append(facts, "join "+table+" nested")
+	}
+	for _, c := range n.Children {
+		facts = traceFacts(c, facts)
+	}
+	return facts
 }

@@ -1,35 +1,23 @@
 package sqlengine
 
 import (
-	"context"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"archis/internal/obs"
 	"archis/internal/relstore"
 	"archis/internal/temporal"
 )
 
-// Vectorized single-table execution. The columnar sibling of
-// parallel.go: when the source's storage can stream column batches
-// (BatchSource — the compressed store's columnar path), filter
-// conjuncts of the form `col op const` compile into batch kernels that
-// narrow a selection vector column-at-a-time, and only the surviving
-// rows are materialized for aggregation or projection. A statement
-// qualifies when:
-//
-//   - the engine's columnar mode is on,
-//   - it reads exactly one virtual source providing ScanBatches,
-//   - the planner found no equality-index probe, and
-//   - (parallel only) every aggregate supports partial merging.
-//
-// Results are identical to the row path: batch morsels are consumed in
-// morsel order (or merged in morsel order after a parallel fan-out),
-// selection vectors keep ascending row order inside each batch, and
-// when any conjunct cannot be kernelized the full compiled filter
-// reruns on kernel survivors, so row and group order match the serial
-// scan exactly.
+// Vectorized scans (DESIGN.md §13). When a single-source statement
+// reads storage that streams column batches (BatchSource — the
+// compressed store's columnar path), the engine's columnar mode is on
+// and the planner found no equality-index probe, planSingle gives the
+// scan batch morsels: filter conjuncts of the form `col op const`
+// compile into batch kernels that narrow a selection vector
+// column-at-a-time, and only the surviving rows are materialized for
+// aggregation or projection (scanPlan.runBatch). Results are identical
+// to the row path: selection vectors keep ascending row order inside
+// each batch, and when any conjunct cannot be kernelized the full
+// compiled filter reruns on kernel survivors.
 
 // BatchSource is the storage interface behind the vectorized path.
 // Implementations stream batches whose selected rows, concatenated in
@@ -196,309 +184,4 @@ func batchNeededCols(stmt *SelectStmt, conjuncts []Expr, s *source) []bool {
 		return nil
 	}
 	return needed
-}
-
-// batchWork is the per-worker scratch of the vectorized drain loop.
-// Each worker (or the one serial loop) owns one, so nothing inside
-// needs synchronization.
-type batchWork struct {
-	sel     []int32      // engine-owned selection buffer
-	scratch relstore.Row // row image filled per surviving row
-}
-
-// execSingleBatch attempts the vectorized path for a single-source
-// SELECT. handled=false means the caller should try the next path
-// (parallel row morsels, then the serial plan).
-func (en *Engine) execSingleBatch(ctx context.Context, stmt *SelectStmt, s *source, conjuncts []Expr, sources []*source, sp *obs.Span) (*Result, bool, error) {
-	if !en.Columnar || s.virtual == nil {
-		return nil, false, nil
-	}
-	bs, ok := s.virtual.(BatchSource)
-	if !ok {
-		return nil, false, nil
-	}
-	plan, err := en.planScan(s, conjuncts, sources)
-	if err != nil {
-		return nil, true, err
-	}
-	if plan.eqIndex != nil {
-		return nil, false, nil
-	}
-	layout := layoutFor(s.alias, s.schema)
-	workers := en.scanWorkers()
-
-	var gplan *groupPlan
-	if en.isGrouped(stmt) {
-		gplan, err = en.compileGrouping(stmt, layout)
-		if err != nil {
-			return nil, true, err
-		}
-		if workers > 1 && !gplan.mergeable() {
-			// Serial consumption folds everything into one accumulator,
-			// so only the parallel fan-out needs mergeable partials.
-			workers = 1
-		}
-	}
-
-	bp := en.compileKernels(conjuncts, s, sources)
-	filter := plan.filter
-	needed := batchNeededCols(stmt, conjuncts, s)
-
-	morsels, err := bs.ScanBatches(plan.bounds, needed)
-	if err != nil {
-		return nil, true, err
-	}
-
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	if workers <= 1 {
-		return en.execBatchSerial(ctx, stmt, s, plan, gplan, bp, filter, needed, morsels, layout, sources, sp)
-	}
-	return en.execBatchParallel(ctx, stmt, s, plan, gplan, bp, filter, needed, morsels, layout, sources, workers, sp)
-}
-
-// execBatchSerial drains batch morsels in order on the calling
-// goroutine under a "scan" span, folding into one accumulator (any
-// aggregate works) or one row list.
-func (en *Engine) execBatchSerial(ctx context.Context, stmt *SelectStmt, s *source, plan *scanPlan, gplan *groupPlan,
-	bp batchPlan, filter evalFunc, needed []bool, morsels []relstore.BatchFunc, layout *rowLayout,
-	sources []*source, sp *obs.Span) (*Result, bool, error) {
-	ss := sp.Child("scan")
-	ss.SetAttr("table", s.alias)
-	ss.SetAttr("access", "colscan")
-	if plan.est.Planned {
-		ss.SetInt("est_rows", int64(plan.est.OutRows))
-	}
-	var acc *groupAcc
-	if gplan != nil {
-		acc = gplan.newAcc()
-	}
-	var rows []relstore.Row
-	cc := newCancelProbe(ctx)
-	w := &batchWork{scratch: make(relstore.Row, len(s.schema.Columns))}
-	for _, m := range morsels {
-		if cc.check() {
-			ss.End()
-			return nil, true, cc.err()
-		}
-		if err := en.runBatchMorsel(m, bp, filter, needed, w, cc, acc, &rows); err != nil {
-			ss.End()
-			return nil, true, err
-		}
-	}
-	if gplan != nil {
-		ss.End()
-		res, err := en.finalizeGroups(gplan, acc, sp)
-		return res, true, err
-	}
-	ss.AddRows(0, int64(len(rows)))
-	ss.End()
-	res, err := en.project(stmt, rows, layout, sources, sp)
-	return res, true, err
-}
-
-// execBatchParallel fans batch morsels out over workers under a
-// "morsel-fanout" span, merging per-morsel partials in morsel order —
-// the same combination rule as the row-morsel path, so results are
-// identical to the serial drain.
-func (en *Engine) execBatchParallel(ctx context.Context, stmt *SelectStmt, s *source, plan *scanPlan, gplan *groupPlan,
-	bp batchPlan, filter evalFunc, needed []bool, morsels []relstore.BatchFunc, layout *rowLayout,
-	sources []*source, workers int, sp *obs.Span) (*Result, bool, error) {
-	fanout := sp.Child("morsel-fanout")
-	fanout.SetAttr("table", s.alias)
-	fanout.SetAttr("access", "colscan")
-	fanout.SetInt("morsels", int64(len(morsels)))
-	if plan.est.Planned {
-		fanout.SetInt("est_rows", int64(plan.est.OutRows))
-	}
-	fanout.SetInt("workers", int64(workers))
-
-	accs := make([]*groupAcc, len(morsels))
-	rowss := make([][]relstore.Row, len(morsels))
-	errs := make([]error, len(morsels))
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker probe: the row counter is unsynchronized.
-			cc := newCancelProbe(ctx)
-			w := &batchWork{scratch: make(relstore.Row, len(s.schema.Columns))}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(morsels) || failed.Load() {
-					return
-				}
-				if cc.check() {
-					errs[i] = cc.err()
-					failed.Store(true)
-					return
-				}
-				var acc *groupAcc
-				if gplan != nil {
-					acc = gplan.newAcc()
-					accs[i] = acc
-				}
-				if err := en.runBatchMorsel(morsels[i], bp, filter, needed, w, cc, acc, &rowss[i]); err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	fanout.End()
-	// Report the error of the earliest morsel, matching what the serial
-	// drain would have hit first.
-	for _, err := range errs {
-		if err != nil {
-			return nil, true, err
-		}
-	}
-
-	if gplan != nil {
-		mg := sp.Child("agg-merge")
-		acc := gplan.newAcc()
-		for _, a := range accs {
-			if a == nil {
-				continue
-			}
-			if err := acc.merge(a); err != nil {
-				return nil, true, err
-			}
-		}
-		mg.SetInt("partials", int64(len(accs)))
-		mg.AddRows(0, int64(len(acc.order)))
-		mg.End()
-		res, err := en.finalizeGroups(gplan, acc, sp)
-		return res, true, err
-	}
-
-	n := 0
-	for _, rs := range rowss {
-		n += len(rs)
-	}
-	fanout.AddRows(0, int64(n))
-	rows := make([]relstore.Row, 0, n)
-	for _, rs := range rowss {
-		rows = append(rows, rs...)
-	}
-	res, err := en.project(stmt, rows, layout, sources, sp)
-	return res, true, err
-}
-
-// runBatchMorsel drains one batch morsel: kernels narrow the selection
-// vector column-at-a-time, survivors are materialized into the scratch
-// row (needed columns only — batchNeededCols marks everything the
-// statement reads, so unneeded slots can hold stale values no consumer
-// looks at), the residual filter (when present) makes the final call, and
-// each passing row feeds the accumulator or the row list (cloned —
-// batch payloads are only valid during the callback).
-func (en *Engine) runBatchMorsel(m relstore.BatchFunc, bp batchPlan, filter evalFunc,
-	needed []bool, w *batchWork, cc *cancelProbe, acc *groupAcc, rows *[]relstore.Row) error {
-	var rowErr error
-	_, err := m(func(b *relstore.ColBatch) bool {
-		// Batches whose rows the kernels all reject never reach emit, so
-		// poll once per batch too.
-		if cc.check() {
-			rowErr = cc.err()
-			return false
-		}
-		// The kernels subsume the full row filter only when every
-		// conjunct kernelized AND every kernel's vector is actually
-		// decoded in this batch (always true by construction — kernel
-		// columns are in the needed set — but a missing vector must
-		// degrade to the filter, never to a wrong result).
-		needFilter := bp.residual
-		sel := b.Sel
-		owned := false
-		for ki := range bp.kernels {
-			k := &bp.kernels[ki]
-			vec := &b.Cols[k.col]
-			if !vec.Present {
-				needFilter = true
-				continue
-			}
-			if !owned {
-				// First kernel filters into the engine-owned buffer —
-				// b.Sel belongs to the store and is never written.
-				w.sel = w.sel[:0]
-				if sel == nil {
-					for i := 0; i < b.N; i++ {
-						if k.pass(vec, i) {
-							w.sel = append(w.sel, int32(i))
-						}
-					}
-				} else {
-					for _, i := range sel {
-						if k.pass(vec, int(i)) {
-							w.sel = append(w.sel, i)
-						}
-					}
-				}
-				sel, owned = w.sel, true
-				continue
-			}
-			// Later kernels compact in place (writes trail reads).
-			out := sel[:0]
-			for _, i := range sel {
-				if k.pass(vec, int(i)) {
-					out = append(out, i)
-				}
-			}
-			sel = out
-		}
-
-		emit := func(i int) bool {
-			if cc.tick() {
-				rowErr = cc.err()
-				return false
-			}
-			b.FillRow(w.scratch, i, needed)
-			if filter != nil && needFilter {
-				v, err := filter(w.scratch)
-				if err != nil {
-					rowErr = err
-					return false
-				}
-				if !v.AsBool() {
-					return true
-				}
-			}
-			if acc != nil {
-				if err := acc.add(w.scratch); err != nil {
-					rowErr = err
-					return false
-				}
-				return true
-			}
-			*rows = append(*rows, w.scratch.Clone())
-			return true
-		}
-		// sel == nil normally means "no selection: every row". But once a
-		// kernel owned the buffer, nil just means the (never-grown) buffer
-		// is empty — an empty selection, not a full one.
-		if sel == nil && !owned {
-			for i := 0; i < b.N; i++ {
-				if !emit(i) {
-					return false
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if !emit(int(i)) {
-					return false
-				}
-			}
-		}
-		return true
-	})
-	if err == nil {
-		err = rowErr
-	}
-	return err
 }
