@@ -53,10 +53,10 @@ planner-smoke:
 # beat the legacy row-in-blob encoding by >= 2x min latency over
 # interleaved pairs, return identical answers, and take no more disk.
 # JSON evidence lands in /tmp. The columnar codec/differential tests
-# ride along.
+# and the decoded-block cache tests ride along.
 columnar-smoke:
 	$(GO) run ./cmd/archis-bench -scale 32 -columnargate /tmp/archis-columnar-gate.json
-	$(GO) test -count=1 -run 'Columnar' ./internal/blockzip/ ./internal/bench/ ./internal/relstore/
+	$(GO) test -count=1 -run 'Columnar|BlockCache' ./internal/blockzip/ ./internal/bench/ ./internal/relstore/
 
 # MVCC smoke: the mixed workload (concurrent ingest + Q1-Q6 readers +
 # background compaction) must complete with zero reader errors and a
@@ -100,8 +100,9 @@ crash-matrix:
 	$(GO) test -race -count=1 -run 'Crash|Torn|Recover' ./internal/wal/ ./internal/core/
 
 # Short fuzzing pass over every parser/decoder boundary: WAL replay,
-# the two query language parsers, and BlockZIP codecs. Each fuzzer gets
-# a few seconds — enough to catch regressions in the seed corpus
+# the two query language parsers, the BlockZIP codecs and the block
+# reader behind the decoded-block cache. Each fuzzer gets a few
+# seconds — enough to catch regressions in the seed corpus
 # neighborhood without stalling CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal/
@@ -109,6 +110,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/sqlengine/
 	$(GO) test -run '^$$' -fuzz FuzzDecompress -fuzztime 5s ./internal/blockzip/
 	$(GO) test -run '^$$' -fuzz FuzzColumnarRoundTrip -fuzztime 10s ./internal/blockzip/
+	$(GO) test -run '^$$' -fuzz FuzzBlockCacheRoundTrip -fuzztime 10s ./internal/blockzip/
 
 # Tier-1 verification: everything must compile, pass vet, and pass the
 # full test suite under the race detector (the concurrency layer is

@@ -46,6 +46,60 @@ func mixedRows(n int) []relstore.Row {
 
 func rowKey(r relstore.Row) string { return string(relstore.EncodeRow(nil, r, true)) }
 
+// blockReader is a bare store whose block reader runs against a fresh
+// database with the given decoded-block cache budget: enough to drive
+// readBlock over hand-built blocks.
+func blockReader(t testing.TB, cacheBytes int) *CompressedStore {
+	t.Helper()
+	db := relstore.NewDatabase()
+	db.SetBlockCacheBytes(cacheBytes)
+	blob, err := db.CreateTable(relstore.Schema{Name: "reader_blob", Columns: []relstore.Column{
+		{Name: "blockno", Type: relstore.TypeInt},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &CompressedStore{db: db, blob: blob}
+}
+
+// readRows reads every column of one block through readBlock and
+// materializes its rows in order.
+func readRows(cs *CompressedStore, blockNo int64, data []byte, ncols int) ([]relstore.Row, error) {
+	var b relstore.ColBatch
+	if err := cs.readBlock(blockNo, data, ncols, nil, &b); err != nil {
+		return nil, err
+	}
+	rows := make([]relstore.Row, b.N)
+	for i := range rows {
+		rows[i] = make(relstore.Row, ncols)
+		b.FillRow(rows[i], i, nil)
+	}
+	return rows, nil
+}
+
+// readColdWarm reads one block twice through readBlock with the cache
+// on: the first read must miss and decompress, the second must hit
+// without decompressing. It returns both row sets.
+func readColdWarm(t testing.TB, cs *CompressedStore, blockNo int64, data []byte, ncols int) (cold, warm []relstore.Row) {
+	t.Helper()
+	for pass, out := range []*[]relstore.Row{&cold, &warm} {
+		st, dec := cs.db.Stats(), cs.DecompressionCount()
+		rows, err := readRows(cs, blockNo, data, ncols)
+		if err != nil {
+			t.Fatalf("block %d pass %d: %v", blockNo, pass, err)
+		}
+		d := cs.db.Stats().Sub(st)
+		decoded := cs.DecompressionCount() - dec
+		if wantHit := pass == 1; (d.BlockCacheHits == 1) != wantHit || d.BlockCacheHits+d.BlockCacheMisses != 1 ||
+			(decoded == 0) != wantHit {
+			t.Fatalf("block %d pass %d: hits=%d misses=%d decompressions=%d", blockNo, pass,
+				d.BlockCacheHits, d.BlockCacheMisses, decoded)
+		}
+		*out = rows
+	}
+	return cold, warm
+}
+
 func TestColumnarRoundTrip(t *testing.T) {
 	rows := mixedRows(300)
 	blocks, err := CompressColumnar(rows, 512)
@@ -55,28 +109,27 @@ func TestColumnarRoundTrip(t *testing.T) {
 	if len(blocks) < 2 {
 		t.Fatalf("expected multiple blocks at this block size, got %d", len(blocks))
 	}
-	var got []relstore.Row
+	cs := blockReader(t, 1<<20)
+	var got, gotWarm []relstore.Row
 	total := 0
-	for _, blk := range blocks {
+	for bi, blk := range blocks {
 		if !IsColumnarBlock(blk.Data) {
 			t.Fatal("columnar block not recognized by IsColumnarBlock")
 		}
-		dec, _, err := DecodeColumnarRows(blk.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dec) != blk.Records {
-			t.Fatalf("block decodes %d rows, header says %d", len(dec), blk.Records)
+		cold, warm := readColdWarm(t, cs, int64(bi+1), blk.Data, len(rows[0]))
+		if len(cold) != blk.Records {
+			t.Fatalf("block decodes %d rows, header says %d", len(cold), blk.Records)
 		}
 		total += blk.Records
-		got = append(got, dec...)
+		got = append(got, cold...)
+		gotWarm = append(gotWarm, warm...)
 	}
 	if total != len(rows) {
 		t.Fatalf("blocks carry %d rows, want %d", total, len(rows))
 	}
 	for i := range rows {
-		if rowKey(got[i]) != rowKey(rows[i]) {
-			t.Fatalf("row %d differs after round trip:\n got %v\nwant %v", i, got[i], rows[i])
+		if rowKey(got[i]) != rowKey(rows[i]) || rowKey(gotWarm[i]) != rowKey(rows[i]) {
+			t.Fatalf("row %d differs after round trip:\n cold %v\n warm %v\nwant %v", i, got[i], gotWarm[i], rows[i])
 		}
 	}
 }
@@ -153,8 +206,15 @@ func TestColumnarLegacyInterop(t *testing.T) {
 	if err := DecodeColumnarBatch(bad, nil, &b); err == nil {
 		t.Fatal("unknown columnar version should fail")
 	}
-	if _, _, err := DecodeColumnarRows([]byte{colMagic, colVersion, 0xff, 0xee}); err == nil {
+	cs := blockReader(t, 1<<20)
+	if _, err := readRows(cs, 1, []byte{colMagic, colVersion, 0xff, 0xee}, 8); err == nil {
 		t.Fatal("garbage after the header should fail")
+	}
+	if _, err := readRows(cs, 2, []byte("not zlib"), 8); err == nil {
+		t.Fatal("a corrupt legacy blob should fail")
+	}
+	if n := cs.db.CachedVectors(); n != 0 {
+		t.Fatalf("failed decodes published %d vectors", n)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"archis/internal/temporal"
 )
 
-// Cold per-block decode cost, columnar vs legacy row blobs, on the
+// Cold per-block read cost, columnar vs legacy row blobs, on the
 // attr-table shape (segno, id, value, tstart, tend) the temporal
-// queries scan. Each op decodes every block of a ~4096-row history;
-// divide allocs/op by benchScanRows for allocs/row. The columnar path
-// reuses one ColBatch and decodes only the needed columns; the legacy
-// path mirrors blockRows' cold branch (inflate + one arena per block).
+// queries scan. Each op reads every block of a ~4096-row history
+// through the block reader with the cache off, so every block decodes
+// into fresh vectors; divide allocs/op by benchScanRows for
+// allocs/row.
 const benchScanRows = 4096
 
 func benchScanData(b *testing.B) []relstore.Row {
@@ -35,20 +35,16 @@ func benchScanData(b *testing.B) []relstore.Row {
 	return rows
 }
 
-func BenchmarkColdScanColumnar(b *testing.B) {
-	rows := benchScanData(b)
-	blocks, err := CompressColumnar(rows, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	needed := []bool{true, true, true, true, true}
+// benchColdScan reads every block through readBlock, cache off.
+func benchColdScan(b *testing.B, blocks []Block) {
+	cs := blockReader(b, 0)
 	var batch relstore.ColBatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		for _, blk := range blocks {
-			if err := DecodeColumnarBatch(blk.Data, needed, &batch); err != nil {
+		for bi, blk := range blocks {
+			if err := cs.readBlock(int64(bi+1), blk.Data, 5, nil, &batch); err != nil {
 				b.Fatal(err)
 			}
 			n += batch.N
@@ -57,6 +53,14 @@ func BenchmarkColdScanColumnar(b *testing.B) {
 			b.Fatalf("decoded %d rows, want %d", n, benchScanRows)
 		}
 	}
+}
+
+func BenchmarkColdScanColumnar(b *testing.B) {
+	blocks, err := CompressColumnar(benchScanData(b), 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchColdScan(b, blocks)
 }
 
 func BenchmarkColdScanRowBlob(b *testing.B) {
@@ -69,25 +73,5 @@ func BenchmarkColdScanRowBlob(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, blk := range blocks {
-			encs, err := Decompress(blk.Data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			arena := make([]relstore.Value, 0, 4*len(encs))
-			for _, enc := range encs {
-				if arena, _, _, err = relstore.DecodeRowInto(arena, enc); err != nil {
-					b.Fatal(err)
-				}
-			}
-			n += len(arena) / 5
-		}
-		if n != benchScanRows {
-			b.Fatalf("decoded %d rows, want %d", n, benchScanRows)
-		}
-	}
+	benchColdScan(b, blocks)
 }

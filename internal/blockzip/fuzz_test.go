@@ -55,16 +55,18 @@ func FuzzCompressRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBlockCacheRoundTrip pushes arbitrary rows through Compress and
-// then through blockRows twice — once cold (cache miss: inflate +
-// decode) and once warm (cache hit: shared decoded rows) — and
-// requires all three views to agree record-for-record. Re-encoding
-// each returned row must reproduce the original record bytes, so a
-// cache that returned stale, truncated or aliased rows would fail.
+// FuzzBlockCacheRoundTrip pushes arbitrary rows through both block
+// encodings (legacy row blob and columnar) and then through the block
+// reader twice: once cold (a cache miss: inflate + decode into fresh
+// vectors) and once warm (a hit on the published vectors when the
+// budget holds them, another miss otherwise). Re-encoding each returned
+// row must reproduce the original record bytes, so a cache that
+// returned stale, truncated or aliased vectors would fail, and the hit
+// and decompression counters must agree with each other.
 func FuzzBlockCacheRoundTrip(f *testing.F) {
 	f.Add([]byte("hello world block cache"), 5, 1<<20)
 	f.Add(bytes.Repeat([]byte{0, 255, 1, 254}, 300), 40, 4096)
-	f.Add([]byte("x"), 1, 0) // cache disabled: both calls take the miss path
+	f.Add([]byte("x"), 1, 0) // cache disabled: both reads take the miss path
 	f.Fuzz(func(t *testing.T, data []byte, nRows, cacheBytes int) {
 		if nRows <= 0 || nRows > 100 || len(data) == 0 {
 			return
@@ -72,6 +74,7 @@ func FuzzBlockCacheRoundTrip(f *testing.F) {
 		if cacheBytes < 0 || cacheBytes > 1<<24 {
 			return
 		}
+		rows := make([]relstore.Row, nRows)
 		records := make([][]byte, nRows)
 		for i := range records {
 			lo := (i * 17) % len(data)
@@ -79,55 +82,60 @@ func FuzzBlockCacheRoundTrip(f *testing.F) {
 			if hi > len(data) {
 				hi = len(data)
 			}
-			row := relstore.Row{
+			rows[i] = relstore.Row{
 				relstore.Int(int64(i)),
 				relstore.String_(string(data[lo:hi])),
 				relstore.Bytes(data[lo:hi]),
 			}
-			records[i] = relstore.EncodeRow(nil, row, true)
+			records[i] = relstore.EncodeRow(nil, rows[i], true)
 		}
-		blocks, err := Compress(records, 512)
+		legacy, err := Compress(records, 512)
 		if err != nil {
 			t.Fatalf("compress: %v", err)
 		}
-
-		db := relstore.NewDatabase()
-		db.SetBlockCacheBytes(cacheBytes)
-		blob, err := db.CreateTable(relstore.Schema{Name: "fuzz_blob", Columns: []relstore.Column{
-			{Name: "blockno", Type: relstore.TypeInt},
-		}})
+		columnar, err := CompressColumnar(rows, 512)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("compress columnar: %v", err)
 		}
-		cs := &CompressedStore{db: db, blob: blob}
 
-		check := func(pass string, rows []relstore.Row, want [][]byte, base int) {
-			for i, r := range rows {
-				if got := relstore.EncodeRow(nil, r, true); !bytes.Equal(got, want[i]) {
-					t.Fatalf("%s: block record %d (global %d) corrupted", pass, i, base+i)
+		for _, enc := range []struct {
+			name   string
+			blocks []Block
+		}{{"legacy", legacy}, {"columnar", columnar}} {
+			cs := blockReader(t, cacheBytes)
+			next := 0
+			for bi, blk := range enc.blocks {
+				want := records[next : next+blk.Records]
+				for p, pass := range []string{"cold(miss)", "warm(hit-or-miss)"} {
+					st, dec := cs.db.Stats(), cs.DecompressionCount()
+					got, err := readRows(cs, int64(bi+1), blk.Data, 3)
+					if err != nil {
+						t.Fatalf("%s %s: %v", enc.name, pass, err)
+					}
+					if len(got) != blk.Records {
+						t.Fatalf("%s %s: %d rows, block holds %d", enc.name, pass, len(got), blk.Records)
+					}
+					for i, r := range got {
+						if !bytes.Equal(relstore.EncodeRow(nil, r, true), want[i]) {
+							t.Fatalf("%s %s: block record %d (global %d) corrupted", enc.name, pass, i, next+i)
+						}
+					}
+					d := cs.db.Stats().Sub(st)
+					decoded := cs.DecompressionCount() - dec
+					if (d.BlockCacheHits == 1) == (decoded == 1) {
+						t.Fatalf("%s %s: %d hits but %d decompressions", enc.name, pass, d.BlockCacheHits, decoded)
+					}
+					// A block's vectors are a few KiB, far below the
+					// shard budget of a 1 MiB cache, so warm must hit.
+					switch {
+					case p == 0 && d.BlockCacheHits != 0:
+						t.Fatalf("%s %s: first read of block %d hit the cache", enc.name, pass, bi+1)
+					case p == 1 && cacheBytes >= 1<<20 && d.BlockCacheHits != 1:
+						t.Fatalf("%s %s: block %d missed a 1 MiB cache", enc.name, pass, bi+1)
+					}
 				}
+				next += blk.Records
 			}
-		}
-		next := 0
-		for bi, blk := range blocks {
-			want := records[next : next+blk.Records]
-			cold, err := cs.blockRows(int64(bi+1), blk.Data)
-			if err != nil {
-				t.Fatalf("cold blockRows: %v", err)
-			}
-			if len(cold) != blk.Records {
-				t.Fatalf("cold: %d rows, block holds %d", len(cold), blk.Records)
-			}
-			check("cold(miss)", cold, want, next)
-			warm, err := cs.blockRows(int64(bi+1), blk.Data)
-			if err != nil {
-				t.Fatalf("warm blockRows: %v", err)
-			}
-			if len(warm) != len(cold) {
-				t.Fatalf("warm: %d rows, cold had %d", len(warm), len(cold))
-			}
-			check("warm(hit-or-miss)", warm, want, next)
-			next += blk.Records
 		}
 	})
 }
@@ -206,12 +214,13 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compress: %v", err)
 		}
+		cs := blockReader(t, 1<<20)
 		var got []relstore.Row
-		for _, blk := range blocks {
+		for bi, blk := range blocks {
 			if !IsColumnarBlock(blk.Data) {
 				t.Fatal("columnar block without columnar magic")
 			}
-			dec, _, err := DecodeColumnarRows(blk.Data)
+			dec, err := readRows(cs, int64(bi+1), blk.Data, ncols)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -233,8 +242,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			bad := bytes.Clone(blocks[0].Data)
 			pos := int(at(0)) % len(bad)
 			bad[pos] ^= 0x55
-			var cb relstore.ColBatch
-			_ = DecodeColumnarBatch(bad, nil, &cb)
+			_, _ = readRows(cs, int64(len(blocks)+1), bad, ncols)
 		}
 	})
 }

@@ -83,8 +83,8 @@ func (cs *CompressedStore) decompCounter() *int64 {
 // reads the snapshot's frozen blob/segrange/base tables through a
 // snapshot-bound segment store, with private copies of the fields the
 // compression writer mutates. The decoded-block cache keys by table
-// identity and block number — both stable across versions — so views
-// share it with the live store.
+// identity, block number and column — all stable across versions — so
+// views share it with the live store.
 func (cs *CompressedStore) BindSnapshot(sn *relstore.Snapshot) sqlengine.VirtualTable {
 	seg, okS := cs.Seg.BindSnapshot(sn).(*segment.Store)
 	blob, okB := sn.Table(cs.blob.Name())
@@ -359,17 +359,7 @@ const defaultRowsPerBlock = 32
 // rows-per-block average. No block is decompressed.
 func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.ScanEstimate {
 	est := cs.Seg.EstimateScan(bounds)
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		}
-	}
+	f := cs.newStoreFilter(bounds)
 	cs.mu.RLock()
 	compRows := cs.compRows
 	perBlock := int64(defaultRowsPerBlock)
@@ -377,7 +367,7 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 	if totalBlocks > 0 && compRows > 0 {
 		perBlock = (compRows + totalBlocks - 1) / totalBlocks
 	}
-	ranges, err := cs.ranges(segLo, segHi)
+	ranges, err := cs.ranges(f.segLo, f.segHi)
 	if err != nil {
 		cs.mu.RUnlock()
 		return est
@@ -404,73 +394,19 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 	return est
 }
 
-// Scan implements sqlengine.VirtualTable with the same logical-version
-// semantics as segment.Store.Scan: uncompressed rows (the live segment
-// and any not-yet-compressed frozen ones) are visited first, then
-// compressed segments newest-first, suppressing redundant copies of a
-// version so the newest copy's tend wins. Bounds on segno (col 0)
-// restrict the segment range; an id equality bound (col 1) prunes
-// blocks through the [startsid, endsid] ranges.
+// Scan implements sqlengine.VirtualTable: ScanMorsels run in order,
+// so it has their logical-version semantics (uncompressed rows first,
+// then compressed segments newest-first, stale carried copies
+// suppressed so the newest copy's tend wins) and hands out rows under
+// the same borrow contract.
 func (cs *CompressedStore) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
-	stopped := false
-	// Same exact dedup rule as segment.Store.Scan: a forever-tend row
-	// below the top of the scanned range is a stale carried copy.
-	emit := func(row relstore.Row) bool {
-		if row[0].I < segLo || row[0].I > segHi {
-			return true
-		}
-		if row[0].I < segHi && row[4].Date().IsForever() {
-			return true
-		}
-		if idEq != nil && row[1].I != *idEq {
-			return true
-		}
-		if !fn(row) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-
-	// Uncompressed rows first: the live segment holds the newest,
-	// authoritative copies.
-	err := cs.Seg.Scan(bounds, emit)
-	if err != nil || stopped {
-		return err
-	}
-
-	// Compressed segment ranges, newest first.
-	type srange struct {
-		segno, startBlock, endBlock int64
-	}
-	ranges, err := cs.ranges(segLo, segHi)
+	morsels, err := cs.ScanMorsels(bounds)
 	if err != nil {
 		return err
 	}
-
-	for _, rg := range ranges {
-		// VirtualTable.Scan's contract hands out borrowed rows.
-		rgStopped, err := cs.scanRange(rg, idEq, true, emit)
-		if err != nil {
+	for _, m := range morsels {
+		if stopped, err := m(true, fn); err != nil || stopped {
 			return err
-		}
-		if rgStopped || stopped {
-			return nil
 		}
 	}
 	return nil
@@ -497,175 +433,6 @@ func (cs *CompressedStore) ranges(segLo, segHi int64) ([]srange, error) {
 // srange is one compressed segment's block range.
 type srange struct {
 	segno, startBlock, endBlock int64
-}
-
-// valueBytes approximates the in-memory footprint of one relstore.Value
-// header for block-cache budget accounting (the struct itself; string
-// and byte payloads are added separately).
-const valueBytes = 64
-
-// blockRows returns the decoded rows of one block, consulting the
-// database's decoded-block cache first (warm queries skip both inflate
-// and row decode). Returned rows are shared and immutable: callers may
-// hand them out borrowed but must never mutate them. Blocks are
-// append-only — a block number is never rewritten — so entries need no
-// invalidation beyond DropCaches.
-func (cs *CompressedStore) blockRows(blockNo int64, blob []byte) ([]relstore.Row, error) {
-	if rows, ok := cs.db.BlockCacheGet(cs.blob, blockNo); ok {
-		return rows, nil
-	}
-	if IsColumnarBlock(blob) {
-		rows, payload, err := DecodeColumnarRows(blob)
-		if err != nil {
-			return nil, err
-		}
-		atomic.AddInt64(cs.decompCounter(), 1)
-		arenaCells := 0
-		if len(rows) > 0 {
-			arenaCells = len(rows) * len(rows[0])
-		}
-		cs.db.BlockCachePut(cs.blob, blockNo, rows, payload+valueBytes*arenaCells)
-		return rows, nil
-	}
-	recs, err := Decompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	atomic.AddInt64(cs.decompCounter(), 1)
-	// One Value arena per block: rows are immutable subslices of it, so
-	// decode pays one backing allocation per block rather than one per
-	// row (mirrors page.decodeRows). The decoded Values own their
-	// string/byte payloads (the codec copies), so the arena does not
-	// pin the transient decompression buffer.
-	arena := make([]relstore.Value, 0, 4*len(recs))
-	bounds := make([]int32, len(recs)+1)
-	payload := 0
-	for i, enc := range recs {
-		arena, _, _, err = relstore.DecodeRowInto(arena, enc)
-		if err != nil {
-			return nil, err
-		}
-		bounds[i+1] = int32(len(arena))
-		payload += len(enc)
-	}
-	rows := make([]relstore.Row, len(recs))
-	for i := range rows {
-		rows[i] = relstore.Row(arena[bounds[i]:bounds[i+1]:bounds[i+1]])
-	}
-	cs.db.BlockCachePut(cs.blob, blockNo, rows, payload+valueBytes*len(arena))
-	return rows, nil
-}
-
-// scanRange feeds one segment range's block rows to emit (decompressing
-// on block-cache misses), reporting whether emit stopped the scan. With
-// borrow=true emitted rows alias shared cache storage; with
-// borrow=false each row is a defensive copy.
-func (cs *CompressedStore) scanRange(rg srange, idEq *int64, borrow bool, emit func(relstore.Row) bool) (bool, error) {
-	blobBounds := []relstore.ZoneBound{
-		{Col: 0, Op: ">=", Bound: rg.startBlock},
-		{Col: 0, Op: "<=", Bound: rg.endBlock},
-	}
-	if idEq != nil {
-		target := sid(rg.segno, *idEq)
-		blobBounds = append(blobBounds,
-			relstore.ZoneBound{Col: 1, Op: "<=", Bound: target},
-			relstore.ZoneBound{Col: 2, Op: ">=", Bound: target})
-	}
-	stopped := false
-	var blockErr error
-	err := cs.blob.ScanBorrow(blobBounds, func(_ relstore.RID, row relstore.Row) bool {
-		blockNo := row[0].I
-		if blockNo < rg.startBlock || blockNo > rg.endBlock {
-			return true
-		}
-		if idEq != nil {
-			target := sid(rg.segno, *idEq)
-			if row[1].I > target || row[2].I < target {
-				return true
-			}
-		}
-		rows, derr := cs.blockRows(blockNo, row[3].B)
-		if derr != nil {
-			blockErr = derr
-			return false
-		}
-		for _, r := range rows {
-			if !borrow {
-				r = r.Clone()
-			}
-			if !emit(r) {
-				stopped = true
-				return false
-			}
-		}
-		return true
-	})
-	if err == nil {
-		err = blockErr
-	}
-	return stopped, err
-}
-
-// ScanMorsels implements relstore.MorselSource: the uncompressed
-// side's morsels (live segment plus any not-yet-compressed frozen
-// rows) come first, wrapped with this store's range/stale/id filter,
-// followed by one morsel per compressed segment range (newest first)
-// that decompresses and decodes its blocks. Concatenated in order,
-// the morsels emit exactly Scan's row sequence, so segment
-// decompression parallelizes across workers.
-func (cs *CompressedStore) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
-	// Per-morsel stateless version of Scan's dedup/filter rule.
-	filter := func(row relstore.Row, fn func(relstore.Row) bool) bool {
-		if row[0].I < segLo || row[0].I > segHi {
-			return true
-		}
-		if row[0].I < segHi && row[4].Date().IsForever() {
-			return true
-		}
-		if idEq != nil && row[1].I != *idEq {
-			return true
-		}
-		return fn(row)
-	}
-
-	segMorsels, err := cs.Seg.ScanMorsels(bounds)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]relstore.MorselFunc, 0, len(segMorsels)+8)
-	for _, m := range segMorsels {
-		m := m
-		out = append(out, func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
-			return m(borrow, func(row relstore.Row) bool { return filter(row, fn) })
-		})
-	}
-
-	ranges, err := cs.ranges(segLo, segHi)
-	if err != nil {
-		return nil, err
-	}
-	for _, rg := range ranges {
-		rg := rg
-		out = append(out, func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
-			return cs.scanRange(rg, idEq, borrow, func(row relstore.Row) bool { return filter(row, fn) })
-		})
-	}
-	return out, nil
 }
 
 // StorageBytes reports the physical footprint of the compressed

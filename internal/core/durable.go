@@ -183,6 +183,19 @@ func (s *System) ExecDurableCtx(ctx context.Context, sql string, opts ...ExecOpt
 	if oerr != nil {
 		return nil, oerr
 	}
+	start := time.Now()
+	res, err := s.execDurableWrite(ctx, sql, o)
+	rows := 0
+	if res != nil {
+		rows = len(res.Rows)
+	}
+	s.observeQuery(s.qhSQL, "sql", sql, time.Since(start), rows, err)
+	return res, err
+}
+
+// execDurableWrite applies one mutation under the write lock, publishes
+// it and waits for its log records to become durable.
+func (s *System) execDurableWrite(ctx context.Context, sql string, o execOptions) (*sqlengine.Result, error) {
 	s.writeMu.Lock()
 	res, err := s.withPendingValid(o, func() (*sqlengine.Result, error) {
 		return s.Engine.ExecCtx(ctx, sql)

@@ -9,6 +9,7 @@ import (
 	"unicode/utf8"
 
 	"archis/internal/htable"
+	"archis/internal/wal"
 )
 
 // TestStatsRace hammers the read-side observability surfaces —
@@ -257,5 +258,80 @@ func TestRunParallelExplain(t *testing.T) {
 		if len(pr.Result.Items) == 0 {
 			t.Fatalf("query %d returned an empty plan", i)
 		}
+	}
+}
+
+// TestEveryEntryPathObservedOnce drives each statement entry point once
+// and requires exactly one latency sample in the path's histogram and
+// one slow-query record (threshold 1ns) per call — no path may skip
+// the observation or record twice.
+func TestEveryEntryPathObservedOnce(t *testing.T) {
+	s := buildDurable(t, t.TempDir(), wal.OSFS{}, htable.CaptureTrigger)
+	defer s.Close()
+	s.SetClock(day("1995-01-01"))
+	if _, err := s.ExecDurable("INSERT INTO emp VALUES (1, 'n1', 100)"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	logged := 0
+	s.SetSlowQueryLog(time.Nanosecond, func(string) {
+		mu.Lock()
+		logged++
+		mu.Unlock()
+	})
+	const xq = `for $s in doc("emp.xml")/employees/emp[name="n1"]/salary return $s`
+	hists := []string{"query.sql_ns", "query.sqlxml_ns", "query.xml_ns"}
+	for _, tc := range []struct {
+		name string
+		hist string
+		run  func() error
+	}{
+		{"Exec", "query.sql_ns", func() error {
+			_, err := s.Exec("SELECT id FROM emp")
+			return err
+		}},
+		{"ExecDurable/read", "query.sql_ns", func() error {
+			_, err := s.ExecDurable("SELECT id FROM emp")
+			return err
+		}},
+		{"ExecDurable/write", "query.sql_ns", func() error {
+			_, err := s.ExecDurable("UPDATE emp SET salary = 150 WHERE id = 1")
+			return err
+		}},
+		{"ReadAsOf", "query.sql_ns", func() error {
+			_, err := s.ReadAsOf(s.WALStats().AppendedLSN, "SELECT id FROM emp")
+			return err
+		}},
+		{"RunParallel/sql", "query.sql_ns", func() error {
+			return s.RunParallel([]string{"SELECT id FROM emp"}, 1)[0].Err
+		}},
+		{"RunParallel/xquery", "query.xml_ns", func() error {
+			return s.RunParallel([]string{xq}, 1)[0].Err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := s.MetricsSnapshot().Histograms
+			mu.Lock()
+			logBefore := logged
+			mu.Unlock()
+			if err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+			after := s.MetricsSnapshot().Histograms
+			for _, h := range hists {
+				want := int64(0)
+				if h == tc.hist {
+					want = 1
+				}
+				if got := after[h].Count - before[h].Count; got != want {
+					t.Errorf("%s added %d samples, want %d", h, got, want)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if got := logged - logBefore; got != 1 {
+				t.Errorf("wrote %d slow-query records, want 1", got)
+			}
+		})
 	}
 }

@@ -647,7 +647,7 @@ func (s *System) runReadOnly(q string) ParallelResult {
 	pr := ParallelResult{Query: q}
 	switch kw := firstKeyword(q); kw {
 	case "select", "explain":
-		res, err := s.Engine.Exec(q)
+		res, err := s.Exec(q)
 		if err != nil {
 			pr.Err = err
 			return pr

@@ -1,20 +1,24 @@
 package relstore
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+	"unsafe"
+)
 
-// The decoded-block cache holds the arena-decoded rows of BlockZIP
-// blocks (see internal/blockzip), keyed by (store table, block number),
-// so warm queries over compressed storage skip both the zlib inflate
-// and the per-record row decode. It reuses the page cache's
-// sharded-CLOCK design, but the budget is bytes rather than entries:
-// decoded blocks vary widely in size (a jumbo BLOB block can dwarf a
-// 4000-byte one), so counting entries would make the configured
-// capacity meaningless.
+// The decoded-block cache holds the decoded column vectors of BlockZIP
+// blocks (see internal/blockzip), one immutable ColVec per (blob
+// table, block number, column), so warm queries over compressed
+// storage skip the zlib inflate and the column decode, and a query
+// that reads two columns of a block neither decodes nor caches the
+// rest. It reuses the page cache's sharded-CLOCK design, but the
+// budget is bytes rather than entries: each vector is charged its real
+// footprint (footprint below), and vectors vary widely in size.
 //
 // Entries are immutable once published: block blobs are append-only
-// (a block number is never rewritten), so a get can hand the shared
-// row slices to concurrent readers without copying, under the same
-// borrow contract as page-cache rows (DESIGN.md §8.2/§8.3).
+// (a block number is never rewritten), and ReadBlock publishes only
+// vectors decoded into a fresh batch, so a get can hand the shared
+// vectors to concurrent readers without copying (DESIGN.md §8.3).
 
 // minShardBlockBytes is the target minimum per-shard byte budget when
 // choosing the shard count.
@@ -23,10 +27,12 @@ const minShardBlockBytes = 256 << 10
 type blockKey struct {
 	store   uint64 // owning blob Table.id; ids are never reused
 	blockNo int64
+	col     int
 }
 
 type blockEntry struct {
-	rows  []Row
+	vec   ColVec
+	n     int // rows in the block
 	bytes int
 	ref   bool // CLOCK reference bit, set on every hit
 }
@@ -69,33 +75,34 @@ func newBlockCache(totalBytes int) *blockCache {
 }
 
 func (bc *blockCache) shard(k blockKey) *blockShard {
-	h := k.store*0x9E3779B97F4A7C15 + uint64(k.blockNo)*0xBF58476D1CE4E5B9
+	h := k.store*0x9E3779B97F4A7C15 + uint64(k.blockNo)*0xBF58476D1CE4E5B9 + uint64(k.col)*0x94D049BB133111EB
 	h ^= h >> 29
 	return &bc.shards[h&bc.mask]
 }
 
-func (bc *blockCache) get(k blockKey) ([]Row, bool) {
+// get returns the cached vector of one block column and the block's
+// row count.
+func (bc *blockCache) get(k blockKey) (ColVec, int, bool) {
 	if bc.total == 0 {
-		return nil, false
+		return ColVec{}, 0, false
 	}
 	sh := bc.shard(k)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	e, ok := sh.entries[k]
 	if !ok {
-		sh.mu.Unlock()
-		return nil, false
+		return ColVec{}, 0, false
 	}
 	e.ref = true
-	rows := e.rows
-	sh.mu.Unlock()
-	return rows, true
+	return e.vec, e.n, true
 }
 
-// put inserts an entry. The caller transfers ownership of rows to the
-// cache: they must never be mutated afterwards. Entries larger than a
-// whole shard's budget are not cached at all (they would evict
-// everything and then be evicted themselves on the next insert).
-func (bc *blockCache) put(k blockKey, rows []Row, nbytes int) {
+// put inserts one block column of n rows charged nbytes. The caller
+// transfers ownership of vec's payloads to the cache: they must never
+// be mutated afterwards. Entries larger than a whole shard's budget
+// are not cached at all (they would evict everything and then be
+// evicted themselves on the next insert).
+func (bc *blockCache) put(k blockKey, vec ColVec, n, nbytes int) {
 	if bc.total == 0 || nbytes > bc.shardBudget {
 		return
 	}
@@ -106,10 +113,9 @@ func (bc *blockCache) put(k blockKey, rows []Row, nbytes int) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[k]; ok {
-		// Blocks are immutable, so a re-put carries identical rows; just
-		// refresh the reference bit and the (recomputed) size.
-		sh.bytes += nbytes - e.bytes
-		e.rows, e.bytes, e.ref = rows, nbytes, true
+		// Blocks are immutable, so a concurrent reader decoded an
+		// identical vector; keep the published one.
+		e.ref = true
 		return
 	}
 	for sh.bytes+nbytes > bc.shardBudget {
@@ -117,7 +123,7 @@ func (bc *blockCache) put(k blockKey, rows []Row, nbytes int) {
 			break
 		}
 	}
-	sh.entries[k] = &blockEntry{rows: rows, bytes: nbytes}
+	sh.entries[k] = &blockEntry{vec: vec, n: n, bytes: nbytes}
 	sh.ring = append(sh.ring, k)
 	sh.bytes += nbytes
 }
@@ -161,7 +167,7 @@ func (bc *blockCache) bytesUsed() int {
 	return n
 }
 
-// entryCount reports the number of cached blocks across all shards.
+// entryCount reports the number of cached vectors across all shards.
 func (bc *blockCache) entryCount() int {
 	n := 0
 	for i := range bc.shards {
@@ -169,6 +175,22 @@ func (bc *blockCache) entryCount() int {
 		sh.mu.Lock()
 		n += len(sh.entries)
 		sh.mu.Unlock()
+	}
+	return n
+}
+
+// footprint is the memory a vector holds: its header, its payload
+// arrays by capacity, and the string and byte payloads they reference.
+// Strings are charged once per row, an upper bound when a block's
+// dictionary shares one string among many rows.
+func (v *ColVec) footprint() int {
+	n := int(unsafe.Sizeof(*v)) + cap(v.Kinds) + 8*cap(v.I) + 8*cap(v.F) +
+		int(unsafe.Sizeof(""))*cap(v.S) + int(unsafe.Sizeof(Value{}))*cap(v.Aux)
+	for _, s := range v.S {
+		n += len(s)
+	}
+	for _, a := range v.Aux {
+		n += len(a.S) + len(a.B)
 	}
 	return n
 }
@@ -188,36 +210,70 @@ func (db *Database) SetBlockCacheBytes(n int) {
 // cache.
 func (db *Database) BlockCacheBytes() int { return db.blockCache.Load().bytesUsed() }
 
-// CachedBlocks reports how many decoded blocks are currently cached.
-func (db *Database) CachedBlocks() int { return db.blockCache.Load().entryCount() }
+// CachedVectors reports how many decoded block columns are currently
+// cached.
+func (db *Database) CachedVectors() int { return db.blockCache.Load().entryCount() }
 
-// BlockCacheEnabled reports whether a decoded-block cache budget is
-// configured. Columnar scans consult it to decide between decoding
-// straight into column batches (cache off — nothing to warm) and
-// decoding through the cached row form so warm queries keep hitting.
-func (db *Database) BlockCacheEnabled() bool { return db.blockCache.Load().total != 0 }
-
-// BlockCacheGet looks up the decoded rows of block blockNo of the
-// given store table. The returned rows are shared and immutable
-// (borrow contract). Hit/miss counters are updated.
-func (db *Database) BlockCacheGet(store *Table, blockNo int64) ([]Row, bool) {
+// ReadBlock sets b to the needed columns (nil = all ncols) of block
+// blockNo of the blob table store. Cached vectors are taken from the
+// decoded-block cache; when any needed column is missing, decode is
+// called once with the missing columns and must decode them into dst,
+// a fresh batch nothing else references. Its vectors are then
+// published to the cache and must never be mutated again. Every column
+// of b either shares a published vector or is absent (Present=false),
+// and b.Sel is nil. With a budget configured, each call counts one
+// cache hit (every needed column was cached) or one miss.
+func (db *Database) ReadBlock(store *Table, blockNo int64, ncols int, needed []bool, b *ColBatch,
+	decode func(missing []bool, dst *ColBatch) error) error {
 	bc := db.blockCache.Load()
-	if bc.total == 0 {
-		return nil, false
+	if cap(b.Cols) < ncols {
+		b.Cols = make([]ColVec, ncols)
 	}
-	rows, ok := bc.get(blockKey{store.id, blockNo})
-	if ok {
-		db.stats.blockCacheHits.Add(1)
-	} else {
-		db.stats.blockCacheMisses.Add(1)
+	b.N, b.Sel, b.Cols = 0, nil, b.Cols[:ncols]
+	wanted := func(c int) bool { return needed == nil || c < len(needed) && needed[c] }
+	found, missing := 0, 0
+	for c := range b.Cols {
+		b.Cols[c] = ColVec{}
+		if !wanted(c) {
+			continue
+		}
+		if vec, n, ok := bc.get(blockKey{store.id, blockNo, c}); ok {
+			b.Cols[c], b.N = vec, n
+			found++
+		} else {
+			missing++
+		}
 	}
-	return rows, ok
-}
-
-// BlockCachePut publishes the decoded rows of a block. Ownership of
-// rows transfers to the cache: the caller (and every later reader)
-// must treat them as immutable. nbytes is the entry's approximate
-// memory footprint used for budget accounting.
-func (db *Database) BlockCachePut(store *Table, blockNo int64, rows []Row, nbytes int) {
-	db.blockCache.Load().put(blockKey{store.id, blockNo}, rows, nbytes)
+	hit := found > 0 && missing == 0
+	if bc.total != 0 {
+		if hit {
+			db.stats.blockCacheHits.Add(1)
+		} else {
+			db.stats.blockCacheMisses.Add(1)
+		}
+	}
+	if hit {
+		return nil
+	}
+	decodeCols := make([]bool, ncols)
+	for c := range decodeCols {
+		decodeCols[c] = wanted(c) && !b.Cols[c].Present
+	}
+	var fresh ColBatch
+	if err := decode(decodeCols, &fresh); err != nil {
+		return err
+	}
+	if found > 0 && fresh.N != b.N {
+		return fmt.Errorf("relstore: block %d decodes %d rows, its cached columns hold %d", blockNo, fresh.N, b.N)
+	}
+	b.N = fresh.N
+	for c, dec := range decodeCols {
+		if !dec || c >= len(fresh.Cols) || !fresh.Cols[c].Present {
+			continue
+		}
+		vec := fresh.Cols[c]
+		b.Cols[c] = vec
+		bc.put(blockKey{store.id, blockNo, c}, vec, fresh.N, vec.footprint())
+	}
+	return nil
 }

@@ -132,9 +132,10 @@ func (b *ColBatch) Reset(n, ncols int) {
 
 // SetFromRows fills the batch from materialized rows (the adapter used
 // for uncompressed morsels and legacy row-encoded blocks): every
-// needed column becomes a mixed-kind vector backed by Aux values.
-// Values are copied by value, so the batch stays valid as long as the
-// rows' payloads do.
+// needed column becomes a mixed-kind vector whose Int/Date/Bool, Float
+// and String payloads land in I, F and S and every other non-NULL
+// kind in Aux. Values are copied by value, so the batch stays valid as
+// long as the rows' payloads do.
 func (b *ColBatch) SetFromRows(rows []Row, ncols int, needed []bool) {
 	b.Reset(len(rows), ncols)
 	for c := 0; c < ncols; c++ {
@@ -147,11 +148,7 @@ func (b *ColBatch) SetFromRows(rows []Row, ncols int, needed []bool) {
 			v.Kinds = make([]Type, len(rows))
 		}
 		v.Kinds = v.Kinds[:len(rows)]
-		if cap(v.Aux) < len(rows) {
-			v.Aux = make([]Value, len(rows))
-		}
-		v.Aux = v.Aux[:len(rows)]
-		needI, needF, needS := false, false, false
+		needI, needF, needS, needAux := false, false, false, false
 		for i, r := range rows {
 			k := TypeNull
 			if c < len(r) {
@@ -159,14 +156,15 @@ func (b *ColBatch) SetFromRows(rows []Row, ncols int, needed []bool) {
 			}
 			v.Kinds[i] = k
 			switch k {
-			case TypeInt, TypeDate:
-				needI = true
-			case TypeBool:
+			case TypeNull:
+			case TypeInt, TypeDate, TypeBool:
 				needI = true
 			case TypeFloat:
 				needF = true
 			case TypeString:
 				needS = true
+			default:
+				needAux = true
 			}
 		}
 		if needI {
@@ -178,12 +176,16 @@ func (b *ColBatch) SetFromRows(rows []Row, ncols int, needed []bool) {
 		if needS {
 			v.S = growStr(v.S, len(rows))
 		}
+		if needAux {
+			v.Aux = growVal(v.Aux, len(rows))
+		}
 		for i, r := range rows {
 			if c >= len(r) {
 				continue
 			}
 			val := r[c]
 			switch val.Kind {
+			case TypeNull:
 			case TypeInt, TypeDate:
 				v.I[i] = val.I
 			case TypeBool:
@@ -220,6 +222,13 @@ func growF64(s []float64, n int) []float64 {
 func growStr(s []string, n int) []string {
 	if cap(s) < n {
 		return make([]string, n)
+	}
+	return s[:n]
+}
+
+func growVal(s []Value, n int) []Value {
+	if cap(s) < n {
+		return make([]Value, n)
 	}
 	return s[:n]
 }
